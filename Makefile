@@ -10,7 +10,7 @@ LMBENCH_CHAOS_SEED ?= 1
 # memory-heavy tables (the simulator hot paths), and the simmem
 # micro-benchmarks underneath them.
 BENCH_PATTERN ?= Figure1MemoryLatency|Table2MemoryBandwidth|Table5FileReread|Table6CacheParams|Table10ContextSwitch
-BENCH_MICRO   ?= LoadL1Hit|LoadFullyAssocHit|ChaseDRAM|StreamReadResident
+BENCH_MICRO   ?= LoadL1Hit|LoadFullyAssocHit|ChaseDRAM$$|ChaseDRAMSteady|StreamReadResident
 BENCH_COUNT   ?= 5
 
 all: verify

@@ -2,6 +2,7 @@ package core_test
 
 import (
 	"context"
+	"reflect"
 	"testing"
 
 	"repro/internal/core"
@@ -32,14 +33,19 @@ func TestFinishedEventCarriesSimCounters(t *testing.T) {
 	if sim == nil {
 		t.Fatal("finished event has no sim counters")
 	}
-	for _, key := range []string{"mem_accesses", "tlb_misses", "l1_hits"} {
-		if sim[key] <= 0 {
-			t.Errorf("sim[%q] = %d, want > 0 (have %v)", key, sim[key], sim)
-		}
+	// The exact deltas of simulating every load: a chase lap charged
+	// without being simulated must move every counter, the fast-path
+	// ones (mru_hits, index_hits) included, exactly as simulating it
+	// would. Absent keys (writebacks, index_hits) are zero.
+	want := map[string]int64{
+		"l1_hits":      2893760,
+		"l2_hits":      374784,
+		"mem_accesses": 2326464,
+		"mru_hits":     8557363,
+		"tlb_misses":   32781,
 	}
-	// The O(1) fast paths must actually be firing on the Figure-1 chase.
-	if sim["mru_hits"]+sim["index_hits"] <= 0 {
-		t.Errorf("no fast-path hits recorded: %v", sim)
+	if !reflect.DeepEqual(sim, want) {
+		t.Errorf("sim counters = %v, want %v", sim, want)
 	}
 	for _, e := range db.Entries() {
 		for k := range e.Attrs {

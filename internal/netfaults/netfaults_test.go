@@ -279,6 +279,21 @@ func runProxySession(t *testing.T, plan Plan, n int) (Stats, int) {
 			}
 		}()
 	}
+	// Each session ends with the client's close, which its relay is
+	// still passing on (a duplicated request's second reply may be in
+	// flight). Let the relays finish before cancelling: cancellation
+	// cuts them at a scheduling-dependent point.
+	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
+		p.mu.Lock()
+		live := len(p.conns)
+		p.mu.Unlock()
+		if live == 0 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("%d proxied conns still open 5s after the last session", live)
+		}
+	}
 	cancel()
 	if err := <-serveDone; err != nil {
 		t.Fatalf("proxy serve: %v", err)

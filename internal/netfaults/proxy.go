@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/binary"
 	"fmt"
+	"io"
 	"net"
 	"sync"
 	"time"
@@ -138,6 +139,14 @@ func (p *Proxy) pump(s *stream, src, dst net.Conn) {
 	for {
 		frame, err := rpcx.ReadFrame(r, max)
 		if err != nil {
+			// A clean end of stream is passed on as a half-close, so
+			// frames still in flight the other way (the replies to a
+			// duplicated request) are relayed, and their fates drawn,
+			// before the pair comes down: what a seed injects does not
+			// depend on scheduling. Any other error tears it down.
+			if cw, ok := dst.(interface{ CloseWrite() error }); ok && err == io.EOF && cw.CloseWrite() == nil {
+				return
+			}
 			kill()
 			return
 		}

@@ -62,15 +62,36 @@ func BenchmarkLoadFullyAssocHit(b *testing.B) {
 
 // BenchmarkChaseDRAM walks a memory-sized pointer chase — the Figure-1
 // plateau workload: every load misses all levels, evicts, and charges
-// DRAM latency.
+// DRAM latency. Each Walk covers at most one lap, which is never
+// extrapolated, so ns/op stays the simulated per-load miss path.
 func BenchmarkChaseDRAM(b *testing.B) {
 	h := benchHierarchy(b, nil)
 	base := h.Alloc(4 << 20)
 	ch := h.NewChase(base, 4<<20, 128)
-	ch.Walk(ch.Length()) // warm: chase state past the caches
+	lap := ch.Length()
+	ch.Walk(lap) // warm: chase state past the caches
 	b.ReportAllocs()
 	b.ResetTimer()
-	ch.Walk(int64(b.N))
+	for left := int64(b.N); left > 0; left -= lap {
+		ch.Walk(min(left, lap))
+	}
+}
+
+// BenchmarkChaseDRAMSteady is the extrapolated path: one op is a
+// Figure-1 timed walk of two laps on a chase whose steady state is
+// already verified, so whole laps are charged without simulation.
+func BenchmarkChaseDRAMSteady(b *testing.B) {
+	h := benchHierarchy(b, nil)
+	base := h.Alloc(4 << 20)
+	ch := h.NewChase(base, 4<<20, 128)
+	lap := ch.Length()
+	ch.Walk(lap)     // warm
+	ch.Walk(2 * lap) // verify the steady state
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		ch.Walk(2 * lap)
+	}
 }
 
 // BenchmarkStreamReadResident streams over an L2-resident region: the

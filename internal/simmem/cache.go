@@ -587,6 +587,12 @@ type Hierarchy struct {
 	// streams for which probing the TLB once per page is provably
 	// identical to probing once per chunk; see hoistStreams.
 	tlbHoistStreams int
+
+	// epoch counts calls that may change cache or TLB state; every
+	// exported method that probes or flushes bumps it. A Chase's
+	// steady-state memo is valid only while the epoch is the one its
+	// last Walk left behind.
+	epoch uint64
 }
 
 // New assembles a Hierarchy charging time through cpu.
@@ -676,7 +682,8 @@ func (h *Hierarchy) CPU() *sim.CPU { return h.cpu }
 
 // Stats returns a copy of the accumulated counters. The fast-path
 // counters (MRUHits, IndexHits) are aggregated across every cache level
-// and the TLB at call time.
+// and the TLB at call time, on top of the hierarchy-wide share charged
+// for extrapolated chase laps.
 func (h *Hierarchy) Stats() Stats {
 	s := h.stats
 	s.Hits = append([]int64(nil), h.stats.Hits...)
@@ -776,6 +783,7 @@ func (h *Hierarchy) Reset(mark uint64) {
 // FlushAll empties every cache level and the TLB, simulating a cold
 // start.
 func (h *Hierarchy) FlushAll() {
+	h.epoch++
 	for _, c := range h.caches {
 		c.flush()
 	}
@@ -784,7 +792,9 @@ func (h *Hierarchy) FlushAll() {
 	}
 }
 
-// checkTLB charges a page-table walk on TLB miss and returns the cost.
+// tlbAccess probes the TLB for addr, filling the entry on a miss, and
+// returns the page-table walk cost the miss incurs (zero on a hit or
+// without a TLB). Callers fold the cost into their own batched sum.
 func (h *Hierarchy) tlbAccess(addr uint64) ptime.Duration {
 	if h.tlb == nil {
 		return 0
@@ -887,6 +897,7 @@ func (h *Hierarchy) loadCost(addr uint64) ptime.Duration {
 // servicing level's latency plus one cycle for the load instruction
 // (the paper's reported latencies exclude that cycle; see LoadReportNS).
 func (h *Hierarchy) Load(addr uint64) {
+	h.epoch++
 	h.clk.Advance(h.loadCost(addr))
 }
 
@@ -918,5 +929,6 @@ func (h *Hierarchy) storeCost(addr uint64) ptime.Duration {
 
 // Store performs one store with write-allocate semantics.
 func (h *Hierarchy) Store(addr uint64) {
+	h.epoch++
 	h.clk.Advance(h.storeCost(addr))
 }

@@ -6,7 +6,7 @@ import (
 
 // The streaming and pointer-chase loops below are the simulator's hot
 // paths: one call walks megabytes of simulated memory. They are written
-// around two exact-equivalence optimizations (see DESIGN.md
+// around three exact-equivalence optimizations (see DESIGN.md
 // "Performance engineering"):
 //
 //   - Batched clock charging: per-access costs accumulate in a local
@@ -22,6 +22,11 @@ import (
 //     skipped. With several interleaved streams the skip is applied
 //     only when Hierarchy.tlbHoistStreams proves no stream's entry can
 //     be evicted mid-page (otherwise every chunk probes, as before).
+//
+//   - Steady-state lap extrapolation (Chase.Walk only): once a whole lap
+//     of the chase leaves the hierarchy's canonical state unchanged,
+//     every later lap costs the same, so the remaining whole laps are
+//     charged in one step (steady.go).
 
 // chunkSize returns the streaming granularity: the first-level line
 // size, or one 64-byte pseudo-line when no caches are configured.
@@ -78,6 +83,7 @@ func (h *Hierarchy) sideWriteCost(addr uint64) (cost, memTime ptime.Duration) {
 // sequential access), unlike Load which charges the full dependent-load
 // latency.
 func (h *Hierarchy) StreamRead(addr uint64, bytes int64) {
+	h.epoch++
 	if bytes <= 0 {
 		return
 	}
@@ -105,6 +111,7 @@ func (h *Hierarchy) StreamRead(addr uint64, bytes int64) {
 // the reported bytes. NoWriteAllocate skips the fill and streams stores
 // to memory.
 func (h *Hierarchy) StreamWrite(addr uint64, bytes int64) {
+	h.epoch++
 	if bytes <= 0 {
 		return
 	}
@@ -148,6 +155,7 @@ func (h *Hierarchy) StreamCopy(src, dst uint64, bytes int64) {
 // plain hand-unrolled copy loop on the same machine (the Sun libc case
 // in Table 2).
 func (h *Hierarchy) StreamCopyMode(src, dst uint64, bytes int64, hwCopy bool) {
+	h.epoch++
 	if bytes <= 0 {
 		return
 	}
@@ -198,6 +206,7 @@ func (h *Hierarchy) StreamCopyMode(src, dst uint64, bytes int64, hwCopy bool) {
 // extra ops, Scale one source and a multiply, Add two sources and an
 // add, Triad two sources and a fused multiply-add.
 func (h *Hierarchy) StreamKernel(dst uint64, srcs []uint64, bytes int64, opsPerWord int) {
+	h.epoch++
 	if bytes <= 0 {
 		return
 	}
@@ -253,6 +262,17 @@ type Chase struct {
 	size   int64
 	stride int64
 	off    int64
+	// period is the number of loads after which the offset repeats:
+	// size / gcd(size, stride).
+	period int64
+
+	// The steady-state memo: a verified lap's cost and counter delta,
+	// valid while the hierarchy's epoch still equals epoch (nothing but
+	// this chase has touched it since).
+	steady  bool
+	epoch   uint64
+	lapCost ptime.Duration
+	delta   Stats
 }
 
 // NewChase prepares a pointer chase over [base, base+size) with the
@@ -264,13 +284,47 @@ func (h *Hierarchy) NewChase(base uint64, size, stride int64) *Chase {
 	if size < stride {
 		size = stride
 	}
-	return &Chase{h: h, base: base, size: size, stride: stride}
+	g, r := size, stride
+	for r != 0 {
+		g, r = r, g%r
+	}
+	return &Chase{h: h, base: base, size: size, stride: stride, period: size / g}
 }
 
 // Walk performs n dependent loads, continuing from where the previous
 // call stopped (the list wraps). The per-load costs accumulate locally
 // and charge the clock once.
+//
+// Whole laps past a verified steady state are charged without being
+// simulated: with at least two laps to go, Walk simulates one lap and,
+// if the hierarchy's canonical state came back unchanged, adds the
+// remaining whole laps' cost and counters in one step, then simulates
+// the tail. A later Walk with nothing else touching the hierarchy in
+// between reuses that verification. The clock, counters, offset and
+// observable cache state are exactly those of the per-load loop.
 func (c *Chase) Walk(n int64) {
+	h := c.h
+	if c.epoch != h.epoch {
+		c.steady = false
+	}
+	var total ptime.Duration
+	if !c.steady && n >= 2*c.period && h.canonPays(c.period) {
+		total, n = c.verify(n)
+	}
+	if c.steady {
+		laps := n / c.period
+		total += ptime.Duration(laps) * c.lapCost
+		h.addLaps(&c.delta, laps)
+		n -= laps * c.period
+	}
+	total += c.walk(n)
+	h.clk.Advance(total)
+	h.epoch++
+	c.epoch = h.epoch
+}
+
+// walk simulates n loads and returns their summed cost.
+func (c *Chase) walk(n int64) ptime.Duration {
 	h := c.h
 	var total ptime.Duration
 	for i := int64(0); i < n; i++ {
@@ -280,10 +334,13 @@ func (c *Chase) Walk(n int64) {
 			c.off -= c.size
 		}
 	}
-	h.clk.Advance(total)
+	return total
 }
 
-// Length returns the number of elements in the circular list.
+// Length returns the number of elements in the circular list,
+// ceil(size/stride). When stride does not divide size the walk's
+// offsets wrap unevenly, and the lap after which they repeat (the
+// offset period size/gcd(size, stride)) is longer than Length.
 func (c *Chase) Length() int64 { return (c.size + c.stride - 1) / c.stride }
 
 // WalkDirty performs n dependent loads, storing back to each element
@@ -292,6 +349,7 @@ func (c *Chase) Length() int64 { return (c.size + c.stride - 1) / c.stride }
 // write-back costs.
 func (c *Chase) WalkDirty(n int64) {
 	h := c.h
+	h.epoch++
 	var total ptime.Duration
 	for i := int64(0); i < n; i++ {
 		addr := c.base + uint64(c.off)
@@ -310,6 +368,7 @@ func (c *Chase) WalkDirty(n int64) {
 // store chain cannot be made dependent.
 func (c *Chase) WalkWrite(n int64) {
 	h := c.h
+	h.epoch++
 	var total ptime.Duration
 	for i := int64(0); i < n; i++ {
 		total += h.storeCost(c.base + uint64(c.off))
@@ -341,6 +400,7 @@ func (p *PageChase) Walk(n int64) {
 		return
 	}
 	h := p.h
+	h.epoch++
 	var total ptime.Duration
 	for i := int64(0); i < n; i++ {
 		total += h.loadCost(p.pages[p.idx])
