@@ -41,7 +41,7 @@ chaos:
 # chaos-net is the distributed-layer failure drill: every publish goes
 # through a deterministic lossy proxy (>=10% frame fault rate), the
 # store daemon is kill -9'd mid-ingest and restarted on the same
-# address, and serial + fleet publishes must still dedupe onto one run
+# address, and two identical publishes must still dedupe onto one run
 # byte-identical to the committed golden database with a clean scrub.
 chaos-net:
 	GO="$(GO)" ./scripts/chaos_smoke.sh
@@ -92,16 +92,17 @@ bench-smoke:
 serve-smoke:
 	GO="$(GO)" ./scripts/serve_smoke.sh
 
-# fleet-smoke runs a short evaluation serially and across a 3-process
-# worker fleet and proves the databases are byte-identical; part of
-# verify so multi-process execution cannot silently diverge from the
-# serial path.
+# fleet-smoke is the CLI drill for remote fleet execution: it boots two
+# `lmbench -fleet-listen` daemons, runs a short evaluation across both
+# with -fleet-connect, kill -9s one daemon after the first unit lands,
+# and proves the database is byte-identical to the serial run; part of
+# verify so the daemon wiring and redispatch cannot silently rot.
 fleet-smoke:
 	GO="$(GO)" ./scripts/fleet_smoke.sh
 
 # store-smoke boots a results-store daemon, publishes the same short
-# run serially and as a fleet, and proves the service end to end: both
-# publishes dedupe onto one content-addressed run, the comparison table
+# run twice, and proves the service end to end: both publishes dedupe
+# onto one content-addressed run, the comparison table
 # revalidates to 304, and identical runs report no regressions; part of
 # verify so the ingestion wire protocol and the HTTP cache discipline
 # cannot silently rot.
@@ -156,8 +157,8 @@ profile:
 # tests, the concurrent scheduler, wire-chaos injector, fleet
 # coordinator, observability layer, results store and unit cache must
 # be race-clean, the bench harness must run, the -serve endpoints must
-# answer during a live run, a worker fleet must produce
-# serial-identical bytes, the results service must
+# answer during a live run, a remote daemon fleet must produce
+# serial-identical bytes through a daemon kill, the results service must
 # ingest/serve/revalidate end to end, a warm cached run must be
 # byte-identical while executing nothing, the adaptive sweep planner
 # must save points and refuse unsafe compositions, the profile

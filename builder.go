@@ -33,7 +33,6 @@ type Bench struct {
 	maxRSD         float64
 	qualityRetries int
 	journalPath    string
-	fleetWorkers   int
 	fleetConnect   []string
 	storeDir       string
 	publishAddr    string
@@ -62,10 +61,10 @@ type Option func(*Bench)
 //		lmbench.WithSink(lmbench.NewTextSink(os.Stderr)),
 //	).Run(ctx)
 //
-// is the builder form of Run. Add WithFleet(n) to execute across n
-// worker processes, WithJournal(path) to make the run resumable, and
-// WithMachine repeatedly to benchmark several machines into one
-// database.
+// Add WithMachine repeatedly to benchmark several machines into one
+// database, WithParallel(n) to run them concurrently, WithJournal(path)
+// to make the run resumable, and WithFleetConnect to execute across
+// remote worker daemons.
 func New(options ...Option) *Bench {
 	b := &Bench{}
 	for _, o := range options {
@@ -108,8 +107,8 @@ func WithExtended() Option {
 
 // WithParallel sets the in-process worker-pool size for multi-machine
 // runs (simulated machines run concurrently; wall-clock machines stay
-// serialized). Ignored under WithFleet, where parallelism comes from
-// the worker processes.
+// serialized). It is the one local executor; ignored under
+// WithFleetConnect, where the daemons execute the units.
 func WithParallel(n int) Option {
 	return func(b *Bench) { b.parallel = n }
 }
@@ -150,18 +149,12 @@ func WithJournal(path string) Option {
 	return func(b *Bench) { b.journalPath = path }
 }
 
-// WithFleet executes the run across n worker processes — re-execs of
-// the current binary, which is why main must call MaybeChild first.
-// Fleet runs support simulated machines only (workers rebuild them
-// from their profiles) and produce a database byte-identical to the
-// serial run. See also WithFleetConnect.
-func WithFleet(n int) Option {
-	return func(b *Bench) { b.fleetWorkers = n }
-}
-
-// WithFleetConnect adds remote worker daemons (processes running
-// fleet serve mode, e.g. `lmbench -fleet-listen addr`) to the pool.
-// Implies fleet execution even with WithFleet(0).
+// WithFleetConnect executes the run across remote worker daemons
+// (processes running `lmbench -fleet-listen addr`), one connection per
+// address; repeat or pass several addresses to grow the pool. Fleet
+// runs support simulated machines only (daemons rebuild them from
+// their profiles) and produce a database byte-identical to the serial
+// run.
 func WithFleetConnect(addrs ...string) Option {
 	return func(b *Bench) { b.fleetConnect = append(b.fleetConnect, addrs...) }
 }
@@ -383,7 +376,7 @@ func (b *Bench) Run(ctx context.Context) (*Report, error) {
 	}
 
 	var skipped map[string][]string
-	if b.fleetWorkers > 0 || len(b.fleetConnect) > 0 {
+	if len(b.fleetConnect) > 0 {
 		names, err := fleet.MachineNamesIn(b.catalog, b.machines)
 		if err != nil {
 			return nil, err
@@ -395,7 +388,6 @@ func (b *Bench) Run(ctx context.Context) (*Report, error) {
 			Only:     only,
 			Extended: b.extended,
 			Events:   events,
-			Workers:  b.fleetWorkers,
 			Connect:  b.fleetConnect,
 			Timeout:  b.timeout, Retries: b.retries, RetryBackoff: b.retryBackoff,
 			MaxRSD: b.maxRSD, QualityRetries: b.qualityRetries,

@@ -32,9 +32,9 @@
 //	lmbench -unit-cache-readonly     # serve cache hits, never write
 //	lmbench -unit-cache-max-bytes N  # LRU-evict the cache down to N bytes
 //	lmbench -max-rsd 0.05            # re-measure experiments noisier than 5%
-//	lmbench -fleet-workers 4         # run across 4 worker processes
 //	lmbench -fleet-listen :7777      # serve as a remote worker daemon
-//	lmbench -fleet-connect host:7777 # add a remote worker to the pool
+//	lmbench -fleet-connect host:7777 # run across remote worker daemons
+//	                                 # (repeatable; byte-identical output)
 //	lmbench -store store/            # persist the run in a results store
 //	lmbench -publish host:7878       # stream the run to a store daemon
 //	lmbench -run-label nightly       # label the stored run
@@ -112,8 +112,6 @@ func run() error {
 		sweepFlag   = flag.String("sweep", "exhaustive", "sweep coverage: exhaustive (every grid point, byte-stable) or adaptive (measure transitions, interpolate plateaus)")
 		cpuProfile  = flag.String("cpuprofile", "", "write a pprof CPU profile of the run to this file")
 		memProfile  = flag.String("memprofile", "", "write a pprof heap profile at exit to this file")
-		fleetFlag   = flag.Int("fleet-workers", 0, "run across this many worker processes (simulated machines only; results are byte-identical)")
-		workerFlag  = flag.Bool("worker", false, "serve fleet work units on stdin/stdout, then exit (what a spawned worker does)")
 		listenFlag  = flag.String("fleet-listen", "", "serve as a remote fleet worker daemon on this address")
 
 		storeFlag       = flag.String("store", "", "persist the finished run in the results store at this directory")
@@ -141,7 +139,7 @@ func run() error {
 	)
 	var merges, fleetConnect, profilePaths multiFlag
 	flag.Var(&merges, "merge", "preload a results database (repeatable)")
-	flag.Var(&fleetConnect, "fleet-connect", "add a remote worker daemon to the fleet pool (repeatable)")
+	flag.Var(&fleetConnect, "fleet-connect", "run across the remote worker daemon at this address (repeatable; simulated machines only; results are byte-identical)")
 	flag.Var(&profilePaths, "profile", "load machine profiles from this JSON file or directory into the catalog (repeatable; later loads shadow earlier names)")
 	flag.Parse()
 
@@ -155,9 +153,6 @@ func run() error {
 		}
 	}
 
-	if *workerFlag {
-		return fleet.Work(context.Background(), os.Stdin, os.Stdout)
-	}
 	if *listenFlag != "" {
 		ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 		defer stop()
@@ -179,7 +174,7 @@ func run() error {
 	if *chaosNetFlag != "" {
 		return serveChaosProxy(*chaosNetFlag, *chaosListenFlag, *chaosTargetFlag, *quietFlag)
 	}
-	fleetMode := *fleetFlag > 0 || len(fleetConnect) > 0
+	fleetMode := len(fleetConnect) > 0
 
 	if *listMachFlag {
 		return machines.RenderList(os.Stdout, catalog)
@@ -474,7 +469,6 @@ func run() error {
 			Only:           only,
 			Extended:       *extFlag,
 			Events:         sink,
-			Workers:        *fleetFlag,
 			Connect:        fleetConnect,
 			Timeout:        *timeoutFlag,
 			Retries:        *retryFlag,

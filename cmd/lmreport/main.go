@@ -11,8 +11,9 @@
 //	lmreport -machines 'Linux/i686,HP K210'
 //	lmreport -store store/        # publish the run into a results store
 //	lmreport -publish host:7878   # publish to a store daemon
-//	lmreport -fleet-workers 2     # execute across worker processes
-//	                              # (byte-identical to the serial run)
+//
+// The machines run concurrently, one per available CPU; simulated
+// results are byte-identical at any concurrency.
 package main
 
 import (
@@ -21,6 +22,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 
 	lmbench "repro"
@@ -31,7 +33,6 @@ import (
 )
 
 func main() {
-	lmbench.MaybeChild() // fleet workers re-exec this binary
 	if err := run(); err != nil {
 		fmt.Fprintln(os.Stderr, "lmreport:", err)
 		os.Exit(1)
@@ -50,7 +51,6 @@ func run() error {
 		publishFlag = flag.String("publish", "", "publish the finished run to a store daemon at this address")
 		retriesFlag = flag.Int("publish-retries", 0, "retries for a failed -publish, with doubling backoff (0 = default of 4)")
 		labelFlag   = flag.String("run-label", "", "label the published run (with -store or -publish)")
-		fleetFlag   = flag.Int("fleet-workers", 0, "execute across this many worker processes (results are byte-identical to serial)")
 	)
 	flag.Parse()
 
@@ -78,7 +78,10 @@ func run() error {
 		opts.CtxSizes = []int64{0, 4 << 10, 16 << 10, 32 << 10, 64 << 10}
 	}
 
-	options := []lmbench.Option{lmbench.WithOptions(opts)}
+	options := []lmbench.Option{
+		lmbench.WithOptions(opts),
+		lmbench.WithParallel(runtime.GOMAXPROCS(0)),
+	}
 	for _, n := range names {
 		m, err := lmbench.NewSimMachine(n)
 		if err != nil {
@@ -100,9 +103,6 @@ func run() error {
 	}
 	if *labelFlag != "" {
 		options = append(options, lmbench.WithRunLabel(*labelFlag))
-	}
-	if *fleetFlag > 0 {
-		options = append(options, lmbench.WithFleet(*fleetFlag))
 	}
 
 	rep, err := lmbench.New(options...).Run(context.Background())

@@ -13,8 +13,7 @@ import (
 // The unit-cache golden tests prove the incremental-evaluation
 // contract: a run served partially or entirely from the cache is
 // byte-identical to one computed from scratch — same golden hash, in
-// serial and fleet mode, at any worker count, and across an
-// interrupted-and-resumed run.
+// serial and fleet mode, and across an interrupted-and-resumed run.
 
 // cacheBench assembles a full-suite builder over every simulated
 // machine with the golden options and the unit cache at dir.
@@ -36,9 +35,9 @@ func cacheBench(t *testing.T, dir string, extra ...lmbench.Option) *lmbench.Benc
 
 // TestGoldenUnitCacheColdWarmMixed drives the whole evaluation through
 // one cache directory: a cold serial run fills it, warm runs (serial
-// and fleet at 1, 2 and 4 workers) execute zero units, and a mixed run
-// over a half-seeded cache recomputes exactly the missing units — all
-// landing on the pinned golden hash.
+// and fleet) execute zero units, and a mixed run over a half-seeded
+// cache recomputes exactly the missing units — all landing on the
+// pinned golden hash.
 func TestGoldenUnitCacheColdWarmMixed(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full-suite regeneration is slow; skipped with -short")
@@ -68,16 +67,15 @@ func TestGoldenUnitCacheColdWarmMixed(t *testing.T) {
 		t.Errorf("warm run stats %s, want hits=%d misses=0", rep.Cache, total)
 	}
 
-	for _, workers := range []int{1, 2, 4} {
-		rep, err := cacheBench(t, dir, lmbench.WithFleet(workers)).Run(context.Background())
-		if err != nil {
-			t.Fatalf("fleet workers=%d: %v", workers, err)
-		}
-		checkGolden(t, rep.DB, "warm-fleet")
-		if rep.Cache.Hits != total || rep.Cache.Misses != 0 {
-			t.Errorf("warm fleet workers=%d stats %s, want hits=%d misses=0",
-				workers, rep.Cache, total)
-		}
+	// A fully-warm fleet run serves every unit before dialing, so the
+	// pool size cannot matter.
+	rep, err = cacheBench(t, dir, lmbench.WithFleetConnect(startFleet(t, 1)...)).Run(context.Background())
+	if err != nil {
+		t.Fatalf("warm fleet: %v", err)
+	}
+	checkGolden(t, rep.DB, "warm-fleet")
+	if rep.Cache.Hits != total || rep.Cache.Misses != 0 {
+		t.Errorf("warm fleet stats %s, want hits=%d misses=0", rep.Cache, total)
 	}
 
 	// Mixed: seed a fresh cache with a subset of experiments, then run
@@ -120,6 +118,7 @@ func TestGoldenUnitCacheInterruptResume(t *testing.T) {
 	jnl := t.TempDir() + "/cache.jnl"
 	groups := len(core.GroupExperiments(core.Experiments(), nil))
 	total := int64(len(machines.Names()) * groups)
+	fleet := lmbench.WithFleetConnect(startFleet(t, 4)...)
 
 	// First run: cancel once a third of the groups have finished.
 	ctx, cancel := context.WithCancel(context.Background())
@@ -139,7 +138,7 @@ func TestGoldenUnitCacheInterruptResume(t *testing.T) {
 		}
 	})
 	_, err := cacheBench(t, dir,
-		lmbench.WithFleet(4), lmbench.WithJournal(jnl), lmbench.WithSink(counting),
+		fleet, lmbench.WithJournal(jnl), lmbench.WithSink(counting),
 	).Run(ctx)
 	if err == nil {
 		t.Fatal("interrupted run reported success")
@@ -148,7 +147,7 @@ func TestGoldenUnitCacheInterruptResume(t *testing.T) {
 	// Resume: journaled units replay from the journal, the remainder
 	// runs (or comes from the cache) — and the database is golden.
 	rep, err := cacheBench(t, dir,
-		lmbench.WithFleet(4), lmbench.WithJournal(jnl),
+		fleet, lmbench.WithJournal(jnl),
 	).Run(context.Background())
 	if err != nil {
 		t.Fatal(err)
@@ -156,7 +155,7 @@ func TestGoldenUnitCacheInterruptResume(t *testing.T) {
 	checkGolden(t, rep.DB, "interrupt+resume")
 
 	// A fresh run against the now-complete cache executes zero units.
-	rep, err = cacheBench(t, dir, lmbench.WithFleet(4)).Run(context.Background())
+	rep, err = cacheBench(t, dir, fleet).Run(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -178,9 +178,8 @@ func TestGoldenChaosPublishConverges(t *testing.T) {
 	first := pub("first")
 	<-restarted // the run can only have landed on the surviving daemon
 
-	// A second publisher (the other half of a fleet both of whose
-	// workers publish the same deterministic result) dedupes onto the
-	// same run.
+	// A second publisher of the same deterministic result dedupes
+	// onto the same run.
 	second := pub("second")
 	if second.RunID != first.RunID {
 		t.Fatalf("publishes diverged: %s vs %s", first.RunID, second.RunID)

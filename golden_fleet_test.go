@@ -5,12 +5,11 @@ import (
 	"context"
 	"crypto/sha256"
 	"encoding/hex"
-	"os"
+	"fmt"
+	"net"
 	"path/filepath"
 	"sync"
-	"syscall"
 	"testing"
-	"time"
 
 	lmbench "repro"
 	"repro/internal/core"
@@ -18,13 +17,6 @@ import (
 	"repro/internal/machines"
 	"repro/internal/results"
 )
-
-// TestMain lets this test binary serve as its own fleet worker and
-// fork child: the fleet golden tests spawn re-executions of it.
-func TestMain(m *testing.M) {
-	lmbench.MaybeChild()
-	os.Exit(m.Run())
-}
 
 // The facade's fleet metrics must satisfy the coordinator's observer
 // contract, and its cache metrics the unit cache's.
@@ -48,8 +40,36 @@ func checkGolden(t *testing.T, db *results.DB, config string) {
 	}
 }
 
+// startFleet boots n worker daemons in this process on loopback and
+// returns their addresses; the daemons drain when the test ends.
+func startFleet(t *testing.T, n int) []string {
+	t.Helper()
+	ctx, cancel := context.WithCancel(context.Background())
+	var wg sync.WaitGroup
+	t.Cleanup(func() {
+		cancel()
+		wg.Wait()
+	})
+	addrs := make([]string, n)
+	for i := range addrs {
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if err := fleet.ServeWith(ctx, ln, fleet.ServeOptions{Logf: t.Logf}); err != nil {
+				t.Errorf("fleet daemon: %v", err)
+			}
+		}()
+		addrs[i] = ln.Addr().String()
+	}
+	return addrs
+}
+
 // TestGoldenDatabaseFleetByteIdentical regenerates the entire
-// evaluation across worker processes and pins the result against the
+// evaluation across worker daemons and pins the result against the
 // same golden hash as the serial run: fleet execution is proven to
 // change nothing observable at any pool size.
 func TestGoldenDatabaseFleetByteIdentical(t *testing.T) {
@@ -57,10 +77,11 @@ func TestGoldenDatabaseFleetByteIdentical(t *testing.T) {
 		t.Skip("full-suite fleet regeneration is slow; skipped with -short")
 	}
 	for _, workers := range []int{1, 2, 4} {
-		t.Run(map[int]string{1: "workers=1", 2: "workers=2", 4: "workers=4"}[workers], func(t *testing.T) {
+		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
 			db := &results.DB{}
 			c := &fleet.Coordinator{
-				Machines: machines.Names(), Opts: goldenOpts(), Workers: workers,
+				Machines: machines.Names(), Opts: goldenOpts(),
+				Connect: startFleet(t, workers),
 			}
 			if _, err := c.Run(context.Background(), db); err != nil {
 				t.Fatal(err)
@@ -72,13 +93,15 @@ func TestGoldenDatabaseFleetByteIdentical(t *testing.T) {
 
 // TestGoldenFleetInterruptResume interrupts a journaled fleet run
 // partway through (the coordinator analogue of kill -9: the context is
-// cut and the worker pool torn down), then resumes from the journal
-// through the public facade — and still lands on the golden hash.
+// cut and the worker connections torn down), then resumes from the
+// journal through the public facade — and still lands on the golden
+// hash.
 func TestGoldenFleetInterruptResume(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full-suite fleet regeneration is slow; skipped with -short")
 	}
 	path := filepath.Join(t.TempDir(), "golden.jnl")
+	daemons := startFleet(t, 4)
 	sims := make([]lmbench.Machine, 0, len(machines.Names()))
 	for _, n := range machines.Names() {
 		m, err := lmbench.NewSimMachine(n)
@@ -91,7 +114,7 @@ func TestGoldenFleetInterruptResume(t *testing.T) {
 		opts := []lmbench.Option{
 			lmbench.WithOptions(goldenOpts()),
 			lmbench.WithJournal(path),
-			lmbench.WithFleet(4),
+			lmbench.WithFleetConnect(daemons...),
 		}
 		for _, m := range sims {
 			opts = append(opts, lmbench.WithMachine(m))
@@ -131,71 +154,7 @@ func TestGoldenFleetInterruptResume(t *testing.T) {
 	checkGolden(t, rep.DB, "interrupt+resume")
 }
 
-// TestGoldenFleetWorkerKill SIGKILLs one worker while the golden run
-// is in flight; the orphaned unit is re-dispatched and the database
-// still hashes golden.
-func TestGoldenFleetWorkerKill(t *testing.T) {
-	if testing.Short() {
-		t.Skip("full-suite fleet regeneration is slow; skipped with -short")
-	}
-	obs := &killObserver{}
-	c := &fleet.Coordinator{
-		Machines: machines.Names(), Opts: goldenOpts(), Workers: 4, Obs: obs,
-	}
-	obs.kill = func() {
-		if pids := c.WorkerPIDs(); len(pids) > 0 {
-			_ = kill9(pids[0])
-		}
-	}
-	db := &results.DB{}
-	if _, err := c.Run(context.Background(), db); err != nil {
-		t.Fatal(err)
-	}
-	if obs.downs() == 0 {
-		t.Error("no worker death observed; the kill missed the run")
-	}
-	checkGolden(t, db, "worker-kill")
-}
-
-func kill9(pid int) error { return syscall.Kill(pid, syscall.SIGKILL) }
-
 // sinkFunc adapts a function to lmbench.EventSink.
 type sinkFunc func(lmbench.Event)
 
 func (f sinkFunc) Event(e lmbench.Event) { f(e) }
-
-// killObserver fires its kill hook once, after the first completed
-// unit (so the pool is warm and the queue still deep).
-type killObserver struct {
-	mu   sync.Mutex
-	down int
-	done int
-	once sync.Once
-	kill func()
-}
-
-func (o *killObserver) WorkerUp(string) {}
-
-func (o *killObserver) WorkerDown(string, error) {
-	o.mu.Lock()
-	o.down++
-	o.mu.Unlock()
-}
-
-func (o *killObserver) QueueDepth(int, int)          {}
-func (o *killObserver) UnitDispatched(time.Duration) {}
-
-func (o *killObserver) UnitDone() {
-	o.mu.Lock()
-	o.done++
-	o.mu.Unlock()
-	o.once.Do(o.kill)
-}
-
-func (o *killObserver) UnitRetried() {}
-
-func (o *killObserver) downs() int {
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	return o.down
-}

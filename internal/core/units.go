@@ -5,7 +5,7 @@ package core
 // share one Run invocation (Experiment.RunKey; e.g. Figure 2 and
 // Table 10 come from the same context-switch sweep), and it is the
 // granularity at which the suite executes, journals, replays, and at
-// which the fleet coordinator partitions work across worker processes.
+// which the fleet coordinator partitions work across worker daemons.
 // Suite.Run, cmd/lmbench's progress planning and internal/fleet all
 // derive their iteration from GroupExperiments, so "what counts as one
 // unit of work" is defined exactly once.
@@ -51,7 +51,7 @@ func GroupExperiments(exps []Experiment, only map[string]bool) []ExperimentGroup
 
 // WorkUnit is one schedulable unit of a multi-machine run: one
 // experiment group on one machine, identified by name. Units are what
-// the fleet coordinator dispatches to worker processes; a unit's result
+// the fleet coordinator dispatches to worker daemons; a unit's result
 // is exactly what a serial Suite.Run produces for that group, so
 // assembling unit results in unit order reproduces the serial database
 // byte for byte.

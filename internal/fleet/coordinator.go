@@ -63,11 +63,11 @@ func nextBackoff(d time.Duration) time.Duration {
 	return d * 2
 }
 
-// Coordinator executes the evaluation across a pool of worker
-// processes. It is the fleet counterpart of core.Runner: machines (by
+// Coordinator executes the evaluation across a pool of remote worker
+// daemons. It is the fleet counterpart of core.Runner: machines (by
 // simulated-profile name) × experiment groups become work units,
-// workers execute them in any order, and results merge in unit order so
-// the database encodes byte-identically to a serial run.
+// daemons execute them in any order, and results merge in unit order
+// so the database encodes byte-identically to a serial run.
 type Coordinator struct {
 	// Machines are the simulated-machine profile names, in merge order.
 	Machines []string
@@ -89,10 +89,10 @@ type Coordinator struct {
 	// coordinator's machine bracketing events; nil discards it. Sinks
 	// must be concurrency-safe (the provided ones are).
 	Events core.EventSink
-	// Workers is how many local worker processes to spawn (re-execs of
-	// the current binary). Connect lists remote worker daemons
-	// (Serve / `lmbench -fleet-listen`) to dial into the pool.
-	Workers int
+	// Connect lists the worker daemons (Serve / `lmbench
+	// -fleet-listen`) to dial into the pool; at least one is required.
+	// Each address is one connection, so repeating an address gives
+	// that daemon several concurrent sessions.
 	Connect []string
 	// Timeout, Retries, RetryBackoff, MaxRSD and QualityRetries are
 	// forwarded to each worker's Suite, so in-worker behavior matches a
@@ -118,31 +118,28 @@ type Coordinator struct {
 	// Cache, when non-nil, is the content-addressed unit cache: every
 	// unit not already served by Resume is looked up before dispatch,
 	// and hits restore their fragments without touching a worker — a
-	// fully-warm run starts zero workers. Fresh results are stored as
+	// fully-warm run dials no daemon. Fresh results are stored as
 	// their units complete. Hits merge at the unit's position in merge
 	// order, so cold and warm runs are byte-identical. See
 	// internal/unitcache.
 	Cache core.UnitCache
-	// PeerTimeout is the idle read deadline on remote worker
-	// connections: a daemon silent for this long — workers heartbeat
-	// every 5s while executing — is declared dead and its unit
-	// re-dispatched. Zero means the DialOptions default (60s); negative
-	// disables. While a remote worker sits idle the coordinator pings it
-	// every idlePingInterval so the daemon's own idle timeout doesn't
-	// reap a healthy session between units.
+	// PeerTimeout is the idle read deadline on worker connections: a
+	// daemon silent for this long — workers heartbeat every 5s while
+	// executing — is declared dead and its unit re-dispatched. Zero
+	// means the DialOptions default (60s); negative disables. While a
+	// worker sits idle the coordinator pings it every idlePingInterval
+	// so the daemon's own idle timeout doesn't reap a healthy session
+	// between units.
 	PeerTimeout time.Duration
 	// DialRetries and DialBackoff shape the capped-backoff retry when
 	// dialing Connect addresses (see DialOptions); zero means defaults.
 	DialRetries int
 	DialBackoff time.Duration
-	// WrapConn, when set, wraps every dialed remote connection — the
+	// WrapConn, when set, wraps every dialed connection — the
 	// chaos seam (netfaults installs its injector here).
 	WrapConn func(net.Conn) net.Conn
 	// Obs sees scheduling activity; nil means unobserved.
 	Obs Observer
-
-	mu  sync.Mutex
-	cur *run
 }
 
 // unitResult is one unit's terminal state.
@@ -179,8 +176,7 @@ type run struct {
 	queued       int
 	inflight     int
 	liveWorkers  int
-	spawnSeq     int
-	workers      []workerConn
+	workers      []*netWorker
 	pending      map[string]int // units per machine not yet terminal
 	machineT     map[string]time.Time
 	machineBegun map[string]bool
@@ -226,11 +222,8 @@ func (c *Coordinator) Run(ctx context.Context, db *results.DB) (map[string][]str
 			wireProfiles[name] = &pc
 		}
 	}
-	if c.Workers < 0 {
-		return nil, fmt.Errorf("fleet: negative worker count %d", c.Workers)
-	}
-	if c.Workers == 0 && len(c.Connect) == 0 {
-		return nil, errors.New("fleet: coordinator needs at least one worker")
+	if len(c.Connect) == 0 {
+		return nil, errors.New("fleet: coordinator needs at least one worker daemon to connect to")
 	}
 
 	exps := core.Experiments()
@@ -266,14 +259,6 @@ func (c *Coordinator) Run(ctx context.Context, db *results.DB) (map[string][]str
 	for _, u := range units {
 		r.pending[u.Machine]++
 	}
-	c.mu.Lock()
-	c.cur = r
-	c.mu.Unlock()
-	defer func() {
-		c.mu.Lock()
-		c.cur = nil
-		c.mu.Unlock()
-	}()
 
 	// Replay completed units from the resume journal, in unit order,
 	// before any dispatch — the fleet version of the suite's replay-at-
@@ -320,7 +305,7 @@ func (c *Coordinator) Run(ctx context.Context, db *results.DB) (map[string][]str
 	// unit (so an interrupted warm run resumes without re-reading the
 	// cache) and lands at its slot in merge order. Errors journaling or
 	// persisting here abort the run exactly as they would in
-	// complete(); no workers exist yet, so failing the unit and
+	// complete(); no daemon is dialed yet, so failing the unit and
 	// cancelling is enough.
 	if c.Cache != nil {
 		for i, u := range units {
@@ -376,17 +361,6 @@ func (c *Coordinator) Run(ctx context.Context, db *results.DB) (map[string][]str
 		}
 	}
 	if remaining > 0 {
-		local := c.Workers
-		if local > remaining {
-			local = remaining
-		}
-		for i := 0; i < local; i++ {
-			if err := r.startLocalWorker(); err != nil {
-				cancel()
-				r.shutdown()
-				return nil, err
-			}
-		}
 		for _, addr := range c.Connect {
 			w, err := DialWith(runCtx, addr, DialOptions{
 				Retries: c.DialRetries, Backoff: c.DialBackoff,
@@ -397,7 +371,7 @@ func (c *Coordinator) Run(ctx context.Context, db *results.DB) (map[string][]str
 				r.shutdown()
 				return nil, err
 			}
-			r.startWorker(w, false)
+			r.startWorker(w)
 		}
 	}
 
@@ -409,27 +383,6 @@ func (c *Coordinator) Run(ctx context.Context, db *results.DB) (map[string][]str
 	r.shutdown()
 
 	return r.merge(ctx, db)
-}
-
-// WorkerPIDs returns the process IDs of the live local workers of the
-// run in progress (empty otherwise). Exposed for operational tooling
-// and for the tests that kill a worker mid-run to prove re-dispatch.
-func (c *Coordinator) WorkerPIDs() []int {
-	c.mu.Lock()
-	r := c.cur
-	c.mu.Unlock()
-	if r == nil {
-		return nil
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	var pids []int
-	for _, w := range r.workers {
-		if p := w.pid(); p > 0 {
-			pids = append(pids, p)
-		}
-	}
-	return pids
 }
 
 // enqueue makes unit i dispatchable after delay. The queue channel is
@@ -457,22 +410,8 @@ func (r *run) enqueue(i int, delay time.Duration) {
 	})
 }
 
-// startLocalWorker spawns one worker process and its drive loop.
-func (r *run) startLocalWorker() error {
-	r.mu.Lock()
-	r.spawnSeq++
-	name := fmt.Sprintf("w%d", r.spawnSeq)
-	r.mu.Unlock()
-	w, err := spawnWorker(name)
-	if err != nil {
-		return err
-	}
-	r.startWorker(w, true)
-	return nil
-}
-
 // startWorker registers w in the pool and starts its drive loop.
-func (r *run) startWorker(w workerConn, local bool) {
+func (r *run) startWorker(w *netWorker) {
 	r.mu.Lock()
 	r.workers = append(r.workers, w)
 	r.liveWorkers++
@@ -481,31 +420,26 @@ func (r *run) startWorker(w workerConn, local bool) {
 	r.wg.Add(1)
 	go func() {
 		defer r.wg.Done()
-		r.workerLoop(w, local)
+		r.workerLoop(w)
 	}()
 }
 
-// idlePingInterval is how often the coordinator pings a remote worker
-// that has no unit in flight, well inside the daemon's 60s idle
-// timeout.
+// idlePingInterval is how often the coordinator pings a worker that
+// has no unit in flight, well inside the daemon's 60s idle timeout.
 const idlePingInterval = 10 * time.Second
 
 // workerLoop pulls units off the queue and drives them through w until
-// the run ends or the worker dies. Remote workers are pinged while
-// idle; a failed ping retires the worker exactly as a failed dispatch
-// would, except there is no unit to re-queue.
-func (r *run) workerLoop(w workerConn, local bool) {
-	var pingC <-chan time.Time
-	if !local {
-		t := time.NewTicker(idlePingInterval)
-		defer t.Stop()
-		pingC = t.C
-	}
+// the run ends or the worker dies. Workers are pinged while idle; a
+// failed ping retires the worker exactly as a failed dispatch would,
+// except there is no unit to re-queue.
+func (r *run) workerLoop(w *netWorker) {
+	ping := time.NewTicker(idlePingInterval)
+	defer ping.Stop()
 	for {
 		select {
 		case <-r.ctx.Done():
 			return
-		case <-pingC:
+		case <-ping.C:
 			if err := w.send(&wireMsg{Type: msgPing}); err != nil {
 				r.workerGone(w, err)
 				return
@@ -525,8 +459,7 @@ func (r *run) workerLoop(w workerConn, local bool) {
 			r.obs.UnitDispatched(wait)
 			if err := r.driveUnit(w, i); err != nil {
 				// Transport failure: the worker is dead. Put the unit
-				// back under the retry policy, replace the worker, and
-				// retire this loop.
+				// back under the retry policy and retire this loop.
 				r.mu.Lock()
 				r.inflight--
 				r.liveWorkers--
@@ -536,7 +469,7 @@ func (r *run) workerLoop(w workerConn, local bool) {
 				r.obs.QueueDepth(q, f)
 				r.obs.WorkerDown(w.id(), err)
 				w.close()
-				r.redispatch(i, err, live, local)
+				r.redispatch(i, err, live)
 				return
 			}
 		}
@@ -547,7 +480,7 @@ func (r *run) workerLoop(w workerConn, local bool) {
 // idle ping failed). If it was the last worker and units are still
 // queued, the run cannot finish — the next queued unit is failed so
 // the run terminates instead of hanging.
-func (r *run) workerGone(w workerConn, cause error) {
+func (r *run) workerGone(w *netWorker, cause error) {
 	r.mu.Lock()
 	r.liveWorkers--
 	live := r.liveWorkers
@@ -571,7 +504,7 @@ func (r *run) workerGone(w workerConn, cause error) {
 // driveUnit sends unit i to w and pumps its frames until the result
 // arrives. A non-nil error means the transport failed and the unit's
 // fate is unknown — the caller re-dispatches it.
-func (r *run) driveUnit(w workerConn, i int) error {
+func (r *run) driveUnit(w *netWorker, i int) error {
 	u := r.units[i]
 	r.beginMachine(u.Machine)
 	err := w.send(&wireMsg{
@@ -673,10 +606,10 @@ func (r *run) fail(i int, err error) {
 
 // redispatch re-queues unit i after its worker died, with doubling
 // backoff; when the attempt budget is spent the run fails. live is the
-// surviving worker count; a local death also spawns a replacement so
-// the pool keeps its size (re-dispatch would deadlock with zero
-// workers).
-func (r *run) redispatch(i int, cause error, live int, local bool) {
+// surviving worker count: the coordinator cannot respawn a daemon it
+// didn't start, so with none left the run fails instead of waiting on
+// a queue nobody drains.
+func (r *run) redispatch(i int, cause error, live int) {
 	u := r.units[i]
 	r.mu.Lock()
 	if r.res[i].done {
@@ -696,19 +629,12 @@ func (r *run) redispatch(i int, cause error, live int, local bool) {
 			u.Machine, u.Key, attempts, cause))
 		return
 	}
+	if live == 0 {
+		r.fail(i, fmt.Errorf("fleet: worker pool died: %w", cause))
+		return
+	}
 	r.obs.UnitRetried()
 	r.enqueue(i, delay)
-	if local && r.ctx.Err() == nil {
-		if err := r.startLocalWorker(); err != nil && live == 0 {
-			// No workers left and no replacement: the queue would
-			// never drain.
-			r.fail(i, fmt.Errorf("fleet: worker pool died: %w", err))
-		}
-	} else if !local && live == 0 {
-		// The last worker was remote; there is no respawning a daemon
-		// the coordinator didn't start.
-		r.fail(i, fmt.Errorf("fleet: worker pool died: %w", cause))
-	}
 }
 
 // beginMachine emits MachineStarted once per machine, at its first
@@ -747,11 +673,11 @@ func (r *run) finishUnit(u core.WorkUnit, errText string) {
 	}
 }
 
-// shutdown tears the pool down: every worker is killed or disconnected
-// (which unblocks any pending recv) and the drive loops are joined.
+// shutdown tears the pool down: every worker is disconnected (which
+// unblocks any pending recv) and the drive loops are joined.
 func (r *run) shutdown() {
 	r.mu.Lock()
-	workers := append([]workerConn(nil), r.workers...)
+	workers := append([]*netWorker(nil), r.workers...)
 	r.mu.Unlock()
 	for _, w := range workers {
 		w.close()

@@ -11,34 +11,10 @@ import (
 	"repro/internal/results"
 )
 
-// startDaemon boots ServeWith on an ephemeral port and returns its
-// address plus a shutdown func that cancels and waits for the drain.
-func startDaemon(t *testing.T, o ServeOptions) (addr string, shutdown func()) {
-	t.Helper()
-	ln, err := listenLoopback()
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx, cancel := context.WithCancel(context.Background())
-	done := make(chan error, 1)
-	go func() { done <- ServeWith(ctx, ln, o) }()
-	return ln.Addr().String(), func() {
-		cancel()
-		select {
-		case err := <-done:
-			if err != nil {
-				t.Errorf("ServeWith: %v", err)
-			}
-		case <-time.After(60 * time.Second):
-			t.Error("daemon did not drain")
-		}
-	}
-}
-
 // TestSilentRemotePeer proves a remote worker that accepts a unit and
 // then goes silent cannot hang the run: the coordinator's peer timeout
-// declares it dead, the unit re-dispatches to the surviving local
-// worker, and the result is still byte-identical to serial.
+// declares it dead, the unit re-dispatches to the surviving daemon, and
+// the result is still byte-identical to serial.
 func TestSilentRemotePeer(t *testing.T) {
 	if testing.Short() {
 		t.Skip("fleet run in -short mode")
@@ -73,8 +49,10 @@ func TestSilentRemotePeer(t *testing.T) {
 	obs := &testObserver{}
 	c := &Coordinator{
 		Machines: testMachines, Opts: fastOpts(), Only: testOnly,
-		Workers: 1, Connect: []string{ln.Addr().String()},
-		PeerTimeout: 500 * time.Millisecond,
+		Connect:     append(startDaemons(t, 1), ln.Addr().String()),
+		// Long enough for the healthy daemon's heartbeats to keep it
+		// alive through a slow unit (e.g. under -race).
+		PeerTimeout: 2 * heartbeatInterval,
 		UnitRetries: 10,
 		Obs:         obs,
 	}
@@ -96,10 +74,10 @@ func TestSilentRemotePeer(t *testing.T) {
 	}
 }
 
-// TestFleetChaosByteIdentical runs a mixed pool — one local worker, one
-// real remote daemon dialed through a deterministic chaos conn that
-// drops and truncates frames until its budget drains — and requires the
-// merged database to stay byte-identical to serial. Flips are excluded
+// TestFleetChaosByteIdentical runs a pool of two daemons — one dialed
+// cleanly, one dialed through a deterministic chaos conn that drops and
+// truncates frames until its budget drains — and requires the merged
+// database to stay byte-identical to serial. Flips are excluded
 // deliberately: the fleet edge has no end-to-end hash (the store edge
 // does), so a flipped-but-parseable frame is detectable only there.
 func TestFleetChaosByteIdentical(t *testing.T) {
@@ -107,19 +85,24 @@ func TestFleetChaosByteIdentical(t *testing.T) {
 		t.Skip("fleet run in -short mode")
 	}
 	want := serialBytes(t)
-	addr, shutdown := startDaemon(t, ServeOptions{Logf: t.Logf})
-	defer shutdown()
+	daemons := startDaemons(t, 2)
+	chaotic := daemons[1]
 
 	inj := netfaults.New(netfaults.Plan{Seed: 11, DropRate: 0.3, TruncRate: 0.2, Budget: 3})
 	obs := &testObserver{}
 	c := &Coordinator{
 		Machines: testMachines, Opts: fastOpts(), Only: testOnly,
-		Workers: 1, Connect: []string{addr},
-		PeerTimeout: 2 * time.Second,
+		Connect:     daemons,
+		PeerTimeout: 2 * heartbeatInterval,
 		DialBackoff: 10 * time.Millisecond,
 		UnitRetries: 10,
-		WrapConn:    func(c net.Conn) net.Conn { return inj.Conn(c) },
-		Obs:         obs,
+		WrapConn: func(c net.Conn) net.Conn {
+			if c.RemoteAddr().String() != chaotic {
+				return c
+			}
+			return inj.Conn(c)
+		},
+		Obs: obs,
 	}
 	db := &results.DB{}
 	if _, err := c.Run(context.Background(), db); err != nil {

@@ -1,15 +1,17 @@
 package fleet
 
 import (
+	"bufio"
 	"bytes"
 	"context"
+	"fmt"
 	"io"
 	"net"
 	"os"
+	"os/exec"
 	"path/filepath"
 	"strings"
 	"sync"
-	"syscall"
 	"testing"
 	"time"
 
@@ -20,11 +22,101 @@ import (
 	"repro/internal/timing"
 )
 
-// TestMain lets this test binary serve as its own fleet worker: the
-// coordinator tests spawn re-executions of it with WorkerEnv set.
+// daemonEnv turns a re-execution of this test binary into a worker
+// daemon process (see TestMain), so a test can SIGKILL a real process
+// mid-run.
+const daemonEnv = "FLEET_TEST_DAEMON"
+
 func TestMain(m *testing.M) {
-	MaybeWorker()
+	if os.Getenv(daemonEnv) != "" {
+		os.Exit(serveDaemonProcess())
+	}
 	os.Exit(m.Run())
+}
+
+// serveDaemonProcess is the daemon mode of the test binary: it listens
+// on an ephemeral loopback port, announces the address on stdout, and
+// serves until it is killed.
+func serveDaemonProcess() int {
+	ln, err := listenLoopback()
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "daemon:", err)
+		return 1
+	}
+	fmt.Println(ln.Addr())
+	if err := Serve(context.Background(), ln); err != nil {
+		fmt.Fprintln(os.Stderr, "daemon:", err)
+		return 1
+	}
+	return 0
+}
+
+// startDaemonProcess re-executes this test binary as a worker daemon
+// and returns its announced address and its process. The process is
+// killed and reaped when the test ends.
+func startDaemonProcess(t *testing.T) (string, *os.Process) {
+	t.Helper()
+	exe, err := os.Executable()
+	if err != nil {
+		t.Fatal(err)
+	}
+	cmd := exec.Command(exe)
+	cmd.Env = append(os.Environ(), daemonEnv+"=1")
+	cmd.Stderr = os.Stderr
+	out, err := cmd.StdoutPipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := cmd.Start(); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() {
+		_ = cmd.Process.Kill()
+		_ = cmd.Wait()
+	})
+	addr, err := bufio.NewReader(out).ReadString('\n')
+	if err != nil {
+		t.Fatalf("daemon process announced no address: %v", err)
+	}
+	return strings.TrimSpace(addr), cmd.Process
+}
+
+// startDaemon boots ServeWith on an ephemeral port in this process and
+// returns its address plus a shutdown func that cancels and waits for
+// the drain.
+func startDaemon(t *testing.T, o ServeOptions) (addr string, shutdown func()) {
+	t.Helper()
+	ln, err := listenLoopback()
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	done := make(chan error, 1)
+	go func() { done <- ServeWith(ctx, ln, o) }()
+	return ln.Addr().String(), func() {
+		cancel()
+		select {
+		case err := <-done:
+			if err != nil {
+				t.Errorf("ServeWith: %v", err)
+			}
+		case <-time.After(60 * time.Second):
+			t.Error("daemon did not drain")
+		}
+	}
+}
+
+// startDaemons boots n in-process worker daemons, shut down when the
+// test ends, and returns their addresses.
+func startDaemons(t *testing.T, n int) []string {
+	t.Helper()
+	addrs := make([]string, n)
+	for i := range addrs {
+		addr, shutdown := startDaemon(t, ServeOptions{Logf: t.Logf})
+		t.Cleanup(shutdown)
+		addrs[i] = addr
+	}
+	return addrs
 }
 
 // fastOpts shrinks the workloads so a multi-run test stays quick.
@@ -157,14 +249,14 @@ func TestProtocolRoundTrip(t *testing.T) {
 	}
 }
 
-// TestWorkerServesUnits drives the Work loop directly over in-memory
+// TestWorkerServesUnits drives the session loop directly over in-memory
 // pipes: a well-formed unit produces entries, an unknown machine an
 // error frame, and a version mismatch kills the session.
 func TestWorkerServesUnits(t *testing.T) {
 	toWorker, unitW := io.Pipe()
 	resultR, fromWorker := io.Pipe()
 	workErr := make(chan error, 1)
-	go func() { workErr <- Work(context.Background(), toWorker, fromWorker) }()
+	go func() { workErr <- work(context.Background(), nil, func(bool) {}, toWorker, fromWorker) }()
 	s := newSession(resultR, unitW)
 
 	opts := fastOpts()
@@ -211,17 +303,19 @@ func TestWorkerServesUnits(t *testing.T) {
 	}
 }
 
+// TestFleetMatchesSerial runs the selection across pools of 1, 2 and
+// 3 worker daemons and requires serial bytes from each.
 func TestFleetMatchesSerial(t *testing.T) {
 	if testing.Short() {
-		t.Skip("multi-process runs are slow; skipped with -short")
+		t.Skip("fleet runs are slow; skipped with -short")
 	}
 	want := serialBytes(t)
 	for _, workers := range []int{1, 2, 3} {
-		t.Run(map[int]string{1: "workers=1", 2: "workers=2", 3: "workers=3"}[workers], func(t *testing.T) {
+		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
 			db := &results.DB{}
 			c := &Coordinator{
 				Machines: testMachines, Opts: fastOpts(), Only: testOnly,
-				Workers: workers,
+				Connect: startDaemons(t, workers),
 			}
 			if _, err := c.Run(context.Background(), db); err != nil {
 				t.Fatal(err)
@@ -237,7 +331,7 @@ func TestFleetMatchesSerial(t *testing.T) {
 // this process serves a coordinator dialing over loopback.
 func TestServeMatchesSerial(t *testing.T) {
 	if testing.Short() {
-		t.Skip("multi-process runs are slow; skipped with -short")
+		t.Skip("fleet runs are slow; skipped with -short")
 	}
 	want := serialBytes(t)
 	ctx, cancel := context.WithCancel(context.Background())
@@ -266,28 +360,27 @@ func TestServeMatchesSerial(t *testing.T) {
 	}
 }
 
-// TestWorkerKillRedispatch SIGKILLs a live worker mid-run and proves
-// the orphaned unit is re-dispatched: the run still completes with
-// byte-identical results, and the pool reports the death and retry.
+// TestWorkerKillRedispatch SIGKILLs a worker daemon process mid-run
+// and proves the orphaned unit is re-dispatched to the surviving
+// daemon: the run still completes with byte-identical results, and the
+// pool reports the death.
 func TestWorkerKillRedispatch(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-process runs are slow; skipped with -short")
 	}
 	want := serialBytes(t)
+	victim, proc := startDaemonProcess(t)
 	obs := &testObserver{}
 	c := &Coordinator{
 		Machines: testMachines, Opts: fastOpts(), Only: testOnly,
-		Workers: 2, Obs: obs,
+		Connect: append([]string{victim}, startDaemons(t, 1)...),
+		Obs:     obs,
 	}
 	var killOnce sync.Once
 	obs.onDone = func(done int) {
-		// After the first completion the pool is warm; kill one worker
-		// while the rest of the queue is still draining.
-		killOnce.Do(func() {
-			if pids := c.WorkerPIDs(); len(pids) > 0 {
-				_ = syscall.Kill(pids[0], syscall.SIGKILL)
-			}
-		})
+		// After the first completion the pool is warm; kill the daemon
+		// process while the rest of the queue is still draining.
+		killOnce.Do(func() { _ = proc.Kill() })
 	}
 	db := &results.DB{}
 	if _, err := c.Run(context.Background(), db); err != nil {
@@ -307,9 +400,10 @@ func TestWorkerKillRedispatch(t *testing.T) {
 // instead of re-running, and the final database is byte-identical.
 func TestCoordinatorResume(t *testing.T) {
 	if testing.Short() {
-		t.Skip("multi-process runs are slow; skipped with -short")
+		t.Skip("fleet runs are slow; skipped with -short")
 	}
 	want := serialBytes(t)
+	daemons := startDaemons(t, 2)
 	path := filepath.Join(t.TempDir(), "fleet.jnl")
 
 	// First run: cancel after two units land.
@@ -330,7 +424,7 @@ func TestCoordinatorResume(t *testing.T) {
 	}
 	c := &Coordinator{
 		Machines: testMachines, Opts: fastOpts(), Only: testOnly,
-		Workers: 2, Journal: jw, Obs: obs,
+		Connect: daemons, Journal: jw, Obs: obs,
 	}
 	if _, err := c.Run(ctx, &results.DB{}); err == nil {
 		t.Fatal("cancelled run reported success")
@@ -353,7 +447,7 @@ func TestCoordinatorResume(t *testing.T) {
 	obs2 := &testObserver{}
 	c2 := &Coordinator{
 		Machines: testMachines, Opts: fastOpts(), Only: testOnly,
-		Workers: 2, Resume: replay, Obs: obs2,
+		Connect: daemons, Resume: replay, Obs: obs2,
 	}
 	db := &results.DB{}
 	if _, err := c2.Run(context.Background(), db); err != nil {
@@ -367,7 +461,7 @@ func TestCoordinatorResume(t *testing.T) {
 	}
 	up, _, _, _ := obs2.counts()
 	if up == 0 {
-		t.Error("resume spawned no workers despite remaining units")
+		t.Error("resume dialed no workers despite remaining units")
 	}
 }
 
@@ -381,7 +475,7 @@ func TestMachineNames(t *testing.T) {
 		}
 		ms = append(ms, m)
 	}
-	names, err := MachineNames(ms)
+	names, err := MachineNamesIn(nil, ms)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -390,7 +484,7 @@ func TestMachineNames(t *testing.T) {
 			t.Errorf("names[%d] = %q, want %q", i, names[i], n)
 		}
 	}
-	if _, err := MachineNames([]core.Machine{renamed{ms[0]}}); err == nil {
+	if _, err := MachineNamesIn(nil, []core.Machine{renamed{ms[0]}}); err == nil {
 		t.Error("non-profile machine must be rejected")
 	}
 }
@@ -401,16 +495,15 @@ type renamed struct{ core.Machine }
 func (renamed) Name() string { return "ad-hoc" }
 
 func TestCoordinatorValidation(t *testing.T) {
-	if _, err := (&Coordinator{Machines: []string{"no-such"}, Workers: 1}).Run(context.Background(), &results.DB{}); err == nil {
+	// Validation precedes dialing, so the address is never contacted.
+	unused := []string{"127.0.0.1:1"}
+	if _, err := (&Coordinator{Machines: []string{"no-such"}, Connect: unused}).Run(context.Background(), &results.DB{}); err == nil {
 		t.Error("unknown machine must fail")
 	}
 	if _, err := (&Coordinator{Machines: testMachines}).Run(context.Background(), &results.DB{}); err == nil {
-		t.Error("zero workers and no connections must fail")
+		t.Error("no daemons to connect to must fail")
 	}
-	if _, err := (&Coordinator{Machines: testMachines, Workers: -1}).Run(context.Background(), &results.DB{}); err == nil {
-		t.Error("negative workers must fail")
-	}
-	skipped, err := (&Coordinator{Workers: 1}).Run(context.Background(), &results.DB{})
+	skipped, err := (&Coordinator{Connect: unused}).Run(context.Background(), &results.DB{})
 	if err != nil || len(skipped) != 0 {
 		t.Errorf("empty machine list: %v, %v", skipped, err)
 	}

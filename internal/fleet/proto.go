@@ -1,30 +1,29 @@
-// Package fleet executes the benchmark suite across a pool of worker
-// processes.
+// Package fleet executes the benchmark suite across remote worker
+// daemons.
 //
 // The paper's third contribution is a results database built by running
-// one suite on many machines; this package is the scale-out step that
-// makes such a sweep outgrow a single Go process. A Coordinator
-// partitions the evaluation into work units — one experiment group on
-// one simulated machine, the same unit the suite journals and replays
-// (core.WorkUnit) — and dispatches them to workers over a
-// length-prefixed JSONL protocol. Workers are either re-executions of
-// the current binary speaking the protocol on stdin/stdout (spawned
-// automatically; any binary whose main calls lmbench.MaybeChild can
-// host them) or remote worker daemons reached over TCP (Serve/Dial),
-// framed with internal/rpcx's record-marking discipline in both cases.
+// one suite on many machines; this package is the multi-host step that
+// makes such a sweep outgrow a single host. A Coordinator partitions
+// the evaluation into work units — one experiment group on one
+// simulated machine, the same unit the suite journals and replays
+// (core.WorkUnit) — and dispatches them to worker daemons (Serve, or
+// `lmbench -fleet-listen`) dialed over TCP, speaking a length-prefixed
+// JSONL protocol framed with internal/rpcx's record-marking discipline.
+// On one host, core.Runner's in-process parallelism does the same work
+// without the process and wire overhead.
 //
 // Determinism: a unit's result is exactly what a serial Suite.Run
 // produces for that group — workers build the named machine fresh from
 // its profile and the suite resets it before every attempt — and the
 // coordinator merges unit results in machine × group order, the serial
-// iteration order. A fleet run of any worker count therefore encodes
+// iteration order. A fleet run of any pool size therefore encodes
 // byte-identically to the serial and in-process-parallel runs, which
 // the golden test pins against the PR-3 SHA-256.
 //
-// Robustness rides the existing seams: a dead or killed worker's
-// in-flight unit is re-dispatched under the PR-1 retry/backoff policy
-// and the worker is respawned; the coordinator journals every completed
-// unit in the PR-2 format (serial and fleet journals are
+// Robustness rides the existing seams: a dead, killed or silent
+// daemon's in-flight unit is re-dispatched to the surviving daemons
+// under the PR-1 retry/backoff policy; the coordinator journals every
+// completed unit in the PR-2 format (serial and fleet journals are
 // interchangeable), so a kill -9 of the coordinator itself resumes with
 // -resume; and an Observer (obs.FleetMetrics) sees workers, queue
 // depths and dispatch latency out of band.
@@ -43,9 +42,8 @@ import (
 	"repro/internal/rpcx"
 )
 
-// protoVersion guards the wire protocol. Local workers are re-execs of
-// the coordinator binary and always match; a remote worker daemon built
-// from different sources refuses mismatched units instead of producing
+// protoVersion guards the wire protocol: a worker daemon built from
+// different sources refuses mismatched units instead of producing
 // silently divergent results. v2 added ping frames (idle keepalives and
 // in-unit heartbeats), which a v1 endpoint would reject as unexpected.
 const protoVersion = 2
@@ -63,7 +61,7 @@ const (
 	msgResult = "result" // worker → coordinator: the unit's outcome
 	// msgPing flows both ways and is ignored by the receiver; it exists
 	// purely to keep idle deadlines from firing on healthy sessions.
-	// The coordinator pings an idle remote worker so the daemon's idle
+	// The coordinator pings an idle worker so the daemon's idle
 	// timeout doesn't reap it between units; a worker heartbeats during
 	// unit execution so the coordinator's peer timeout doesn't declare
 	// it dead mid-measurement.

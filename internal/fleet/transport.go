@@ -4,10 +4,8 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"io"
 	"net"
 	"os"
-	"os/exec"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -15,71 +13,9 @@ import (
 	"repro/internal/rpcx"
 )
 
-// workerConn is the coordinator's handle on one worker, local or
-// remote. Send/recv follow the session protocol; Close tears the
-// worker down hard (kill for processes, close for connections), which
-// unblocks any pending recv.
-type workerConn interface {
-	id() string
-	send(*wireMsg) error
-	recv() (*wireMsg, error)
-	close()
-	// pid returns the worker's process ID, or 0 for remote workers.
-	pid() int
-}
-
-// procWorker is a locally spawned worker process: a re-exec of the
-// current binary with WorkerEnv set, speaking the protocol on its
-// stdin/stdout pipes. Stderr passes through so a worker panic is
-// visible.
-type procWorker struct {
-	name string
-	cmd  *exec.Cmd
-	s    *session
-	in   io.WriteCloser
-
-	waitOnce sync.Once
-	waitErr  error
-}
-
-// spawnWorker re-executes the current binary as a fleet worker.
-func spawnWorker(name string) (*procWorker, error) {
-	exe, err := os.Executable()
-	if err != nil {
-		return nil, fmt.Errorf("fleet: locate executable: %w", err)
-	}
-	cmd := exec.Command(exe)
-	cmd.Env = append(os.Environ(), WorkerEnv+"=1")
-	cmd.Stderr = os.Stderr
-	stdin, err := cmd.StdinPipe()
-	if err != nil {
-		return nil, err
-	}
-	stdout, err := cmd.StdoutPipe()
-	if err != nil {
-		return nil, err
-	}
-	if err := cmd.Start(); err != nil {
-		return nil, fmt.Errorf("fleet: spawn worker: %w", err)
-	}
-	return &procWorker{name: name, cmd: cmd, s: newSession(stdout, stdin), in: stdin}, nil
-}
-
-func (p *procWorker) id() string              { return p.name }
-func (p *procWorker) send(m *wireMsg) error   { return p.s.send(m) }
-func (p *procWorker) recv() (*wireMsg, error) { return p.s.recv() }
-func (p *procWorker) pid() int                { return p.cmd.Process.Pid }
-
-// close kills the worker process and reaps it. Idempotent: a worker
-// that already exited (or was killed externally) just gets reaped.
-func (p *procWorker) close() {
-	_ = p.in.Close()
-	_ = p.cmd.Process.Kill()
-	p.waitOnce.Do(func() { p.waitErr = p.cmd.Wait() })
-}
-
-// netWorker is a remote worker daemon reached over TCP; the connection
-// carries the same record-framed JSONL as the local pipes.
+// netWorker is the coordinator's handle on one remote worker daemon
+// reached over TCP; the connection carries record-framed JSONL. Close
+// tears the connection down hard, which unblocks any pending recv.
 type netWorker struct {
 	name string
 	conn net.Conn
@@ -177,7 +113,6 @@ func (n *netWorker) id() string              { return n.name }
 func (n *netWorker) send(m *wireMsg) error   { return n.s.send(m) }
 func (n *netWorker) recv() (*wireMsg, error) { return n.s.recv() }
 func (n *netWorker) close()                  { _ = n.conn.Close() }
-func (n *netWorker) pid() int                { return 0 }
 
 // ServeOptions tunes the worker daemon loop. The zero value selects
 // production defaults.
@@ -224,10 +159,10 @@ func (o ServeOptions) normalize() ServeOptions {
 }
 
 // Serve runs a worker daemon with default options: every accepted
-// connection is one coordinator session served by Work. It returns
-// when ctx is cancelled (nil, after a graceful drain) or the listener
-// fails. Sessions are independent — a coordinator that vanishes
-// mid-unit costs only its own connection.
+// connection is one coordinator session. It returns when ctx is
+// cancelled (nil, after a graceful drain) or the listener fails.
+// Sessions are independent — a coordinator that vanishes mid-unit
+// costs only its own connection.
 func Serve(ctx context.Context, ln net.Listener) error {
 	return ServeWith(ctx, ln, ServeOptions{})
 }

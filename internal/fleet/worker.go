@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"io"
-	"os"
 	"sync"
 	"time"
 
@@ -13,53 +12,24 @@ import (
 	"repro/internal/results"
 )
 
-// WorkerEnv is the sentinel environment variable that turns a re-exec
-// of the current binary into a fleet worker serving the coordinator on
-// stdin/stdout. The coordinator sets it when spawning local workers;
-// MaybeWorker — reached through lmbench.MaybeChild, which every binary
-// using the suite already calls first — detects it before main gets
-// anywhere near flag parsing.
-const WorkerEnv = "LMBENCH_GO_FLEET_WORKER"
-
-// MaybeWorker turns the process into a fleet worker when WorkerEnv is
-// set: it serves work units on stdin/stdout until the coordinator
-// closes the pipe, then exits. It must run before the host backend's
-// child check has any side effects — in practice both are reached
-// through lmbench.MaybeChild, which checks the fork-child sentinel
-// first (fork children of a worker inherit WorkerEnv too and must still
-// exit immediately).
-func MaybeWorker() {
-	if os.Getenv(WorkerEnv) == "" {
-		return
-	}
-	if err := Work(context.Background(), os.Stdin, os.Stdout); err != nil {
-		fmt.Fprintln(os.Stderr, "lmbench fleet worker:", err)
-		os.Exit(1)
-	}
-	os.Exit(0)
-}
-
 // heartbeatInterval is how often a worker pings the coordinator while
 // executing a unit, so the coordinator's peer timeout measures silence,
 // not measurement duration.
 const heartbeatInterval = 5 * time.Second
 
-// Work serves one coordinator session: unit frames are read from r,
+// work serves one coordinator session: unit frames are read from r,
 // events stream back as the suite runs, and one result frame answers
 // each unit. It returns nil when the coordinator closes the stream and
 // an error on a protocol or I/O failure. Machines are built fresh from
 // their profiles and cached per name; the suite resets them before
 // every attempt, so a reused machine is indistinguishable from a new
 // one (core.Resetter) and unit results match a serial run exactly.
-func Work(ctx context.Context, r io.Reader, w io.Writer) error {
-	return work(ctx, nil, func(bool) {}, r, w)
-}
-
-// work is Work plus the daemon's drain hooks: when drain closes, the
-// session finishes the unit it is executing (if any) and exits cleanly
-// instead of waiting for the next unit; setBusy brackets unit
-// execution so the daemon knows which sessions it may cut loose
-// immediately.
+//
+// drain and setBusy are the daemon's hooks (a nil drain never fires): when
+// drain closes, the session finishes the unit it is executing (if any)
+// and exits cleanly instead of waiting for the next unit; setBusy
+// brackets unit execution so the daemon knows which sessions it may
+// cut loose immediately.
 func work(ctx context.Context, drain <-chan struct{}, setBusy func(bool), r io.Reader, w io.Writer) error {
 	s := newSession(r, w)
 	cache := map[string]core.Machine{}
@@ -222,28 +192,14 @@ func (f forwardSink) Event(e core.Event) {
 	_ = f.send(&wireMsg{Type: msgEvent, Seq: f.seq, Event: &ev})
 }
 
-// MachineNames maps benchmark targets to fleet-resolvable profile
-// names, in merge order. Fleet execution shards built-in simulated
-// machines only: a worker rebuilds the machine from its profile, which
-// has no meaning for the host backend (whose wall-clock serialization
-// is per-process) or for ad-hoc wrapped machines.
-func MachineNames(ms []core.Machine) ([]string, error) {
-	names := make([]string, len(ms))
-	for i, m := range ms {
-		name := m.Name()
-		if _, ok := machines.ByName(name); !ok {
-			return nil, fmt.Errorf("fleet: machine %q is not a built-in simulated profile; fleet execution supports simulated machines only", name)
-		}
-		names[i] = name
-	}
-	return names, nil
-}
-
-// MachineNamesIn is MachineNames resolved against a catalog: any
-// profile the catalog knows (built-in, file-loaded or calibrated) is
-// fleet-dispatchable, because the coordinator ships non-compiled
-// profiles inline on the unit frame. A nil catalog means the shipped
-// default.
+// MachineNamesIn maps benchmark targets to fleet-resolvable profile
+// names, in merge order. Fleet execution shards simulated machines
+// only: a worker rebuilds the machine from its profile, which has no
+// meaning for the host backend (whose wall-clock serialization is
+// per-process) or for ad-hoc wrapped machines. Any profile the catalog
+// knows (built-in, file-loaded or calibrated) is fleet-dispatchable,
+// because the coordinator ships non-compiled profiles inline on the
+// unit frame. A nil catalog means the shipped default.
 func MachineNamesIn(cat *machines.Catalog, ms []core.Machine) ([]string, error) {
 	if cat == nil {
 		cat = machines.Default()

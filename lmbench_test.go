@@ -5,11 +5,14 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"net"
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 
+	"repro/internal/fleet"
 	"repro/internal/ptime"
 	"repro/internal/timing"
 )
@@ -23,18 +26,18 @@ func TestFacadeSimRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	db := &DB{}
 	opts := Options{
 		Timing:  timing.Options{MinSampleTime: 100 * ptime.Microsecond, Samples: 2},
 		FSFiles: 50,
 	}
-	skipped, err := Run(context.Background(), m, opts, db, "table7", "table16")
+	rep, err := New(WithMachine(m), WithOptions(opts), WithOnly("table7", "table16")).Run(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(skipped) != 0 {
+	if skipped := rep.Skipped["Linux/i686"]; len(skipped) != 0 {
 		t.Errorf("skipped = %v", skipped)
 	}
+	db := rep.DB
 	if _, ok := db.Scalar("lat_syscall", "Linux/i686"); !ok {
 		t.Error("missing lat_syscall")
 	}
@@ -77,19 +80,18 @@ func TestFacadeExtendedAndAutoSize(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	db := &DB{}
 	opts := Options{
 		Timing:  timing.Options{MinSampleTime: 100 * ptime.Microsecond, Samples: 2},
 		MemSize: 1 << 20,
 	}
-	skipped, err := RunExtended(context.Background(), m, opts, db, "ext_stream")
+	rep, err := New(WithMachine(m), WithOptions(opts), WithExtended(), WithOnly("ext_stream")).Run(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(skipped) != 0 {
+	if skipped := rep.Skipped["SGI Challenge"]; len(skipped) != 0 {
 		t.Errorf("skipped = %v", skipped)
 	}
-	if _, ok := db.Scalar("stream.triad", "SGI Challenge"); !ok {
+	if _, ok := rep.DB.Scalar("stream.triad", "SGI Challenge"); !ok {
 		t.Error("missing stream.triad")
 	}
 	if len(Extensions()) < 5 {
@@ -193,11 +195,30 @@ func ExampleNew() {
 	// skipped: 0
 }
 
-// ExampleNew_fleet executes the run across worker processes —
-// re-executions of this binary, which is why main (here, TestMain)
-// calls MaybeChild first — and shows the result is byte-identical to
-// the serial run.
+// ExampleNew_fleet executes the run across two worker daemons — served
+// in-process on loopback here; in production each is a process started
+// with `lmbench -fleet-listen addr` — and shows the result is
+// byte-identical to the serial run.
 func ExampleNew_fleet() {
+	ctx, stop := context.WithCancel(context.Background())
+	var served sync.WaitGroup
+	defer served.Wait()
+	defer stop()
+	var daemons []string
+	for i := 0; i < 2; i++ {
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			panic(err)
+		}
+		served.Add(1)
+		go func() {
+			defer served.Done()
+			// A daemon that fails to serve surfaces as a failed run.
+			_ = fleet.Serve(ctx, ln)
+		}()
+		daemons = append(daemons, ln.Addr().String())
+	}
+
 	machines := func() []Option {
 		var opts []Option
 		for _, n := range []string{"Linux/i686", "Linux/Alpha"} {
@@ -215,14 +236,14 @@ func ExampleNew_fleet() {
 	if err != nil {
 		panic(err)
 	}
-	fleet, err := New(append(machines(), append(base, WithFleet(2))...)...).Run(context.Background())
+	remote, err := New(append(machines(), append(base, WithFleetConnect(daemons...))...)...).Run(context.Background())
 	if err != nil {
 		panic(err)
 	}
 
 	var a, b bytes.Buffer
 	_ = serial.DB.Encode(&a)
-	_ = fleet.DB.Encode(&b)
+	_ = remote.DB.Encode(&b)
 	fmt.Println("fleet == serial:", bytes.Equal(a.Bytes(), b.Bytes()))
 	// Output:
 	// fleet == serial: true

@@ -8,10 +8,10 @@
 #   - the store daemon is kill -9'd while its first ingest session is
 #     live, then restarted on the SAME address (its startup scrub
 #     sweeps the debris the kill left behind),
-#   - a serial `lmreport -publish` and a 2-worker fleet
-#     `lmreport -fleet-workers 2 -publish` both land despite all of the
-#     above and dedupe onto ONE content-addressed run whose database is
-#     byte-identical to the committed golden results/simulated.db, and
+#   - two identical `lmreport -publish` runs both land despite all of
+#     the above and dedupe onto ONE content-addressed run whose
+#     database is byte-identical to the committed golden
+#     results/simulated.db, and
 #   - `lmbench -store-scrub` over the survivor reports a clean store.
 #
 # Driven by `make chaos-net`.
@@ -25,7 +25,7 @@ err2=$(mktemp -t lmbench-chaos-err2.XXXXXX)
 perr=$(mktemp -t lmbench-chaos-proxy.XXXXXX)
 pout=$(mktemp -t lmbench-chaos-proxyout.XXXXXX)
 puberr=$(mktemp -t lmbench-chaos-pub.XXXXXX)
-fleeterr=$(mktemp -t lmbench-chaos-fleet.XXXXXX)
+puberr2=$(mktemp -t lmbench-chaos-pub2.XXXXXX)
 dir=$(mktemp -d -t lmbench-chaos-dir.XXXXXX)
 got=$(mktemp -t lmbench-chaos-got.XXXXXX)
 killed="$dir/.daemon-killed"
@@ -37,7 +37,7 @@ cleanup() {
     for p in "$dpid" "$ppid" "$wpid" "$pubpid"; do
         [ -n "$p" ] && kill "$p" 2>/dev/null || true
     done
-    rm -rf "$bin" "$lmr" "$err" "$err2" "$perr" "$pout" "$puberr" "$fleeterr" "$dir" "$got"
+    rm -rf "$bin" "$lmr" "$err" "$err2" "$perr" "$pout" "$puberr" "$puberr2" "$dir" "$got"
 }
 trap cleanup EXIT INT TERM
 
@@ -103,7 +103,7 @@ done
 ) &
 wpid=$!
 
-# The serial evaluation, publishing through the chaos with retries.
+# The first evaluation, publishing through the chaos with retries.
 # Safe to retry blindly: runs are content-addressed, so a half-landed
 # publish is finished idempotently by the next attempt.
 "$lmr" -publish "$proxy" -publish-retries 15 -run-label chaos 2>"$puberr" >/dev/null &
@@ -147,19 +147,19 @@ done
 grep -q '^startup scrub: ' "$err2" || { echo "chaos-smoke: restarted daemon skipped its startup scrub" >&2; exit 1; }
 api=$(sed -n 's|^store api: http://\([^/ ]*\).*|\1|p' "$err2")
 
-# The serial publish must converge onto the restarted daemon.
-wait "$pubpid" || { pubpid=; echo "chaos-smoke: serial publish failed:" >&2; cat "$puberr" >&2; exit 1; }
+# The first publish must converge onto the restarted daemon.
+wait "$pubpid" || { pubpid=; echo "chaos-smoke: first publish failed:" >&2; cat "$puberr" >&2; exit 1; }
 pubpid=
 run1=$(sed -n 's/^published run //p' "$puberr")
-[ -n "$run1" ] || { echo "chaos-smoke: serial publish announced no run" >&2; cat "$puberr" >&2; exit 1; }
+[ -n "$run1" ] || { echo "chaos-smoke: first publish announced no run" >&2; cat "$puberr" >&2; exit 1; }
 
-# The identical evaluation across a 2-process fleet, still through the
-# proxy: it must dedupe onto the same content-addressed run.
-run2=$("$lmr" -fleet-workers 2 -publish "$proxy" -publish-retries 15 2>&1 >/dev/null |
-    tee "$fleeterr" | sed -n 's/^published run //p')
+# The identical evaluation again, still through the proxy: it must
+# dedupe onto the same content-addressed run.
+run2=$("$lmr" -publish "$proxy" -publish-retries 15 2>&1 >/dev/null |
+    tee "$puberr2" | sed -n 's/^published run //p')
 if [ -z "$run2" ] || [ "$run2" != "$run1" ]; then
-    echo "chaos-smoke: fleet run '$run2' did not dedupe onto serial run '$run1'" >&2
-    cat "$fleeterr" >&2
+    echo "chaos-smoke: second run '$run2' did not dedupe onto first run '$run1'" >&2
+    cat "$puberr2" >&2
     exit 1
 fi
 count=$(curl -fsS "http://$api/api/runs" | grep -c '"run_id"')

@@ -1,11 +1,11 @@
 #!/bin/sh
 # store_smoke.sh boots a results-store daemon on ephemeral ports,
-# publishes the same short evaluation twice — once serial, once across
-# a 2-process fleet — and proves the service end to end:
+# publishes the same short evaluation twice and proves the service end
+# to end:
 #
-#   - both publishes dedupe onto ONE content-addressed run (fleet
-#     execution is byte-identical to serial, through the wire protocol
-#     and the store),
+#   - both publishes dedupe onto ONE content-addressed run (a
+#     deterministic run is byte-identical on re-execution, through the
+#     wire protocol and the store),
 #   - the comparison table answers with a strong ETag and a second
 #     conditional GET revalidates to 304, and
 #   - the regression report between identical runs is empty.
@@ -53,12 +53,12 @@ if [ -z "$ingest" ] || [ -z "$api" ]; then
     exit 1
 fi
 
-# Publish the identical configuration serially and as a fleet; the
-# announced run IDs must match (content-addressed dedupe).
+# Publish the identical configuration twice; the announced run IDs
+# must match (content-addressed dedupe).
 run1=$("$bin" -machine 'Linux/i686' -fast -publish "$ingest" -run-label smoke 2>&1 >/dev/null | sed -n 's/^published run //p')
-run2=$("$bin" -machine 'Linux/i686' -fast -fleet-workers 2 -publish "$ingest" 2>&1 >/dev/null | sed -n 's/^published run //p')
+run2=$("$bin" -machine 'Linux/i686' -fast -publish "$ingest" 2>&1 >/dev/null | sed -n 's/^published run //p')
 if [ -z "$run1" ] || [ "$run1" != "$run2" ]; then
-    echo "store-smoke: fleet run '$run2' did not dedupe onto serial run '$run1'" >&2
+    echo "store-smoke: second run '$run2' did not dedupe onto first run '$run1'" >&2
     exit 1
 fi
 curl -fsS "http://$api/api/runs" | grep -c '"run_id"' | grep -qx 1
