@@ -4,19 +4,23 @@ GO ?= go
 #   make chaos LMBENCH_CHAOS_SEED=99
 LMBENCH_CHAOS_SEED ?= 1
 
-.PHONY: all build vet test race chaos chaos-net verify bench bench-smoke serve-smoke fleet-smoke store-smoke cache-smoke sweep-smoke calibrate-smoke fuzz-smoke profile
+.PHONY: all build fmt vet test race chaos chaos-net verify bench bench-smoke serve-smoke fleet-smoke store-smoke cache-smoke sweep-smoke calibrate-smoke fuzz-smoke profile
 
 # Benchmarks recorded in BENCH_pr3.json: the Figure-1 sweep plus the
 # memory-heavy tables (the simulator hot paths), and the simmem
 # micro-benchmarks underneath them.
 BENCH_PATTERN ?= Figure1MemoryLatency|Table2MemoryBandwidth|Table5FileReread|Table6CacheParams|Table10ContextSwitch
-BENCH_MICRO   ?= LoadL1Hit|LoadFullyAssocHit|ChaseDRAM$$|ChaseDRAMSteady|StreamReadResident
+BENCH_MICRO   ?= LoadL1Hit|LoadFullyAssocHit|ChaseDRAM$$|ChaseDRAMSteady|StreamReadResident|StreamReadSteady
 BENCH_COUNT   ?= 5
 
 all: verify
 
 build:
 	$(GO) build ./...
+
+# fmt fails when any Go file is not gofmt-clean.
+fmt:
+	test -z "$$(gofmt -l .)"
 
 vet:
 	$(GO) vet ./...
@@ -153,7 +157,7 @@ profile:
 	$(GO) run ./cmd/lmbench -machine 'Linux/i686' -quiet -cpuprofile cpu.pprof -memprofile mem.pprof > /dev/null
 	@echo "wrote cpu.pprof and mem.pprof"
 
-# verify is the tier-1 gate: everything must build, vet clean, pass
+# verify is the tier-1 gate: everything must build, be gofmt-clean, vet clean, pass
 # tests, the concurrent scheduler, wire-chaos injector, fleet
 # coordinator, observability layer, results store and unit cache must
 # be race-clean, the bench harness must run, the -serve endpoints must
@@ -165,4 +169,4 @@ profile:
 # catalog and calibrator must round-trip and converge, the codecs, scrub
 # and cache fragments must survive a fuzz smoke, and the distributed
 # layer must converge through wire chaos and a mid-ingest kill.
-verify: build vet test race bench-smoke serve-smoke fleet-smoke store-smoke cache-smoke sweep-smoke calibrate-smoke fuzz-smoke chaos-net
+verify: build fmt vet test race bench-smoke serve-smoke fleet-smoke store-smoke cache-smoke sweep-smoke calibrate-smoke fuzz-smoke chaos-net

@@ -49,7 +49,7 @@ func TestSilentRemotePeer(t *testing.T) {
 	obs := &testObserver{}
 	c := &Coordinator{
 		Machines: testMachines, Opts: fastOpts(), Only: testOnly,
-		Connect:     append(startDaemons(t, 1), ln.Addr().String()),
+		Connect: append(startDaemons(t, 1), ln.Addr().String()),
 		// Long enough for the healthy daemon's heartbeats to keep it
 		// alive through a slow unit (e.g. under -race).
 		PeerTimeout: 2 * heartbeatInterval,

@@ -433,11 +433,9 @@ type ring struct {
 }
 
 // Pass circulates the token once around the ring (core.Ring contract):
-// one simulated hop per process.
+// one simulated hop per process, in one simos.Ring.Circulate.
 func (r *ring) Pass() error {
-	for i := 0; i < r.r.Procs(); i++ {
-		r.r.Pass()
-	}
+	r.r.Circulate()
 	return nil
 }
 func (r *ring) Procs() int   { return r.r.Procs() }

@@ -21,6 +21,7 @@ import (
 	"repro/internal/ptime"
 	"repro/internal/sim"
 	"repro/internal/simdisk"
+	"repro/internal/simmem"
 	"repro/internal/simos"
 )
 
@@ -245,7 +246,8 @@ func (fs *FS) Size(name string) (int64, error) {
 // interface into the user buffer at userBuf: per chunk, one syscall and
 // one bcopy from the kernel's page cache, then the user-level sum of
 // the buffer ("Each buffer is summed as a series of integers in the
-// user process").
+// user process"). Repeated identical rereads are charged from the
+// hierarchy's pass memo (simmem.Hierarchy.Repeat).
 func (fs *FS) ReadCached(name string, userBuf uint64, off, n int64) error {
 	f, ok := fs.files[name]
 	if !ok {
@@ -256,15 +258,18 @@ func (fs *FS) ReadCached(name string, userBuf uint64, off, n int64) error {
 	}
 	mem := fs.os.Mem()
 	chunk := int64(fs.cfg.ReadChunk)
-	for p := off; p < off+n; p += chunk {
-		c := chunk
-		if rem := off + n - p; rem < c {
-			c = rem
+	key := simmem.Key{Owner: f, Args: [6]uint64{f.cache, userBuf, uint64(off), uint64(n), uint64(chunk)}}
+	mem.Repeat(key, 3*n, func() {
+		for p := off; p < off+n; p += chunk {
+			c := chunk
+			if rem := off + n - p; rem < c {
+				c = rem
+			}
+			fs.os.Syscall()
+			mem.StreamCopy(f.cache+uint64(p), userBuf, c)
+			mem.StreamRead(userBuf, c)
 		}
-		fs.os.Syscall()
-		mem.StreamCopy(f.cache+uint64(p), userBuf, c)
-		mem.StreamRead(userBuf, c)
-	}
+	})
 	return nil
 }
 

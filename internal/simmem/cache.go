@@ -590,9 +590,16 @@ type Hierarchy struct {
 
 	// epoch counts calls that may change cache or TLB state; every
 	// exported method that probes or flushes bumps it. A Chase's
-	// steady-state memo is valid only while the epoch is the one its
-	// last Walk left behind.
+	// steady-state memo, and a pass memo slot, is valid only while the
+	// epoch is the one its last call left behind.
 	epoch uint64
+
+	// memo holds one pass-memo slot per Repeat nesting depth; depth is
+	// the current depth and passHits counts memo-charged passes
+	// (steady.go).
+	memo     [maxPassDepth]passMemo
+	depth    int
+	passHits int64
 }
 
 // New assembles a Hierarchy charging time through cpu.

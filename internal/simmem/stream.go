@@ -6,7 +6,7 @@ import (
 
 // The streaming and pointer-chase loops below are the simulator's hot
 // paths: one call walks megabytes of simulated memory. They are written
-// around three exact-equivalence optimizations (see DESIGN.md
+// around four exact-equivalence optimizations (see DESIGN.md
 // "Performance engineering"):
 //
 //   - Batched clock charging: per-access costs accumulate in a local
@@ -27,6 +27,13 @@ import (
 //     of the chase leaves the hierarchy's canonical state unchanged,
 //     every later lap costs the same, so the remaining whole laps are
 //     charged in one step (steady.go).
+//
+//   - The pass memo (the Stream* calls, and composites run through
+//     Repeat): a call repeating the previous call's exact arguments,
+//     with nothing else touching the hierarchy in between, is simulated
+//     once more against a snapshot of the canonical state; if it comes
+//     back unchanged, every further chained repetition is charged its
+//     recorded clock and counter deltas in one step (steady.go).
 
 // chunkSize returns the streaming granularity: the first-level line
 // size, or one 64-byte pseudo-line when no caches are configured.
@@ -36,6 +43,9 @@ func (h *Hierarchy) chunkSize() int64 {
 	}
 	return 64
 }
+
+// chunks returns how many chunks a stream of bytes spans.
+func (h *Hierarchy) chunks(bytes int64) int64 { return (bytes + h.chunk - 1) / h.chunk }
 
 // sideReadCost charges the cache-side work of streaming one chunk's
 // read, excluding the TLB probe and the issue/fill overlap; memTime is
@@ -83,8 +93,12 @@ func (h *Hierarchy) sideWriteCost(addr uint64) (cost, memTime ptime.Duration) {
 // sequential access), unlike Load which charges the full dependent-load
 // latency.
 func (h *Hierarchy) StreamRead(addr uint64, bytes int64) {
-	h.epoch++
 	if bytes <= 0 {
+		h.epoch++
+		return
+	}
+	p, hit := h.beginPass(Key{Owner: h, Args: [6]uint64{opRead, addr, uint64(bytes)}}, h.chunks(bytes))
+	if hit {
 		return
 	}
 	end := addr + uint64(bytes)
@@ -102,6 +116,7 @@ func (h *Hierarchy) StreamRead(addr uint64, bytes int64) {
 		total += cost + maxDur(h.readIssue, memTime)
 	}
 	h.clk.Advance(total)
+	h.endPass(&p, total)
 }
 
 // StreamWrite models the unrolled store loop over [addr, addr+bytes).
@@ -111,8 +126,12 @@ func (h *Hierarchy) StreamRead(addr uint64, bytes int64) {
 // the reported bytes. NoWriteAllocate skips the fill and streams stores
 // to memory.
 func (h *Hierarchy) StreamWrite(addr uint64, bytes int64) {
-	h.epoch++
 	if bytes <= 0 {
+		h.epoch++
+		return
+	}
+	p, hit := h.beginPass(Key{Owner: h, Args: [6]uint64{opWrite, addr, uint64(bytes)}}, h.chunks(bytes))
+	if hit {
 		return
 	}
 	end := addr + uint64(bytes)
@@ -139,6 +158,7 @@ func (h *Hierarchy) StreamWrite(addr uint64, bytes int64) {
 		total += maxDur(h.writeIssue, memTime)
 	}
 	h.clk.Advance(total)
+	h.endPass(&p, total)
 }
 
 // StreamCopy models bcopy: read the source, write the destination.
@@ -155,8 +175,16 @@ func (h *Hierarchy) StreamCopy(src, dst uint64, bytes int64) {
 // plain hand-unrolled copy loop on the same machine (the Sun libc case
 // in Table 2).
 func (h *Hierarchy) StreamCopyMode(src, dst uint64, bytes int64, hwCopy bool) {
-	h.epoch++
 	if bytes <= 0 {
+		h.epoch++
+		return
+	}
+	op := uint64(opCopy)
+	if hwCopy {
+		op = opCopyHW
+	}
+	p, hit := h.beginPass(Key{Owner: h, Args: [6]uint64{op, src, dst, uint64(bytes)}}, 2*h.chunks(bytes))
+	if hit {
 		return
 	}
 	page := uint64(h.PageSize())
@@ -196,6 +224,7 @@ func (h *Hierarchy) StreamCopyMode(src, dst uint64, bytes int64, hwCopy bool) {
 		total += cost + maxDur(h.copyIssue, memTime)
 	}
 	h.clk.Advance(total)
+	h.endPass(&p, total)
 }
 
 // StreamKernel models one pass of a McCalpin STREAM kernel (§7: "We
@@ -206,8 +235,20 @@ func (h *Hierarchy) StreamCopyMode(src, dst uint64, bytes int64, hwCopy bool) {
 // extra ops, Scale one source and a multiply, Add two sources and an
 // add, Triad two sources and a fused multiply-add.
 func (h *Hierarchy) StreamKernel(dst uint64, srcs []uint64, bytes int64, opsPerWord int) {
-	h.epoch++
 	if bytes <= 0 {
+		h.epoch++
+		return
+	}
+	// The memo key holds at most two source addresses; kernels with more
+	// sources opt out of it.
+	k := Key{Owner: h, Args: [6]uint64{opKernel + uint64(len(srcs)), dst, 0, 0, uint64(bytes), uint64(opsPerWord)}}
+	probes := int64(0)
+	if len(srcs) <= 2 {
+		copy(k.Args[2:4], srcs)
+		probes = int64(len(srcs)+1) * h.chunks(bytes)
+	}
+	p, hit := h.beginPass(k, probes)
+	if hit {
 		return
 	}
 	if opsPerWord < 1 {
@@ -216,8 +257,14 @@ func (h *Hierarchy) StreamKernel(dst uint64, srcs []uint64, bytes int64, opsPerW
 	issue := h.cpu.OpTime(h.chunkWords * int64(opsPerWord))
 	page := uint64(h.PageSize())
 	hoist := h.tlbHoistStreams >= len(srcs)+1
-	lastPage := make([]uint64, len(srcs)+1)
-	havePage := make([]bool, len(srcs)+1)
+	// Per-stream page tracking lives on the stack for the STREAM
+	// kernels' one or two sources.
+	var pageBuf [4]uint64
+	var haveBuf [4]bool
+	lastPage, havePage := pageBuf[:], haveBuf[:]
+	if n := len(srcs) + 1; n > len(pageBuf) {
+		lastPage, havePage = make([]uint64, n), make([]bool, n)
+	}
 	var total ptime.Duration
 	for off := int64(0); off < bytes; off += h.chunk {
 		var cost, memTime ptime.Duration
@@ -243,6 +290,7 @@ func (h *Hierarchy) StreamKernel(dst uint64, srcs []uint64, bytes int64, opsPerW
 		total += cost + maxDur(issue, memTime)
 	}
 	h.clk.Advance(total)
+	h.endPass(&p, total)
 }
 
 func maxDur(a, b ptime.Duration) ptime.Duration {

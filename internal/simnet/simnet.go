@@ -18,6 +18,7 @@ import (
 	"errors"
 
 	"repro/internal/ptime"
+	"repro/internal/simmem"
 	"repro/internal/simos"
 )
 
@@ -181,25 +182,30 @@ func (n *Net) sendLocal(src, dst uint64, nbytes int64, stack ptime.Duration) err
 		return errors.New("simnet: transfer needs positive size")
 	}
 	mem := n.o.Mem()
-	buf := int64(n.cfg.SocketBufBytes)
-	for off := int64(0); off < nbytes; off += buf {
-		chunk := buf
-		if rem := nbytes - off; rem < chunk {
-			chunk = rem
+	// Repeated identical transfers are charged from the hierarchy's pass
+	// memo; the stack cost tells the TCP and UDP paths apart.
+	key := simmem.Key{Owner: n, Args: [6]uint64{src, dst, uint64(nbytes), uint64(stack)}}
+	mem.Repeat(key, 4*nbytes, func() {
+		buf := int64(n.cfg.SocketBufBytes)
+		for off := int64(0); off < nbytes; off += buf {
+			chunk := buf
+			if rem := nbytes - off; rem < chunk {
+				chunk = rem
+			}
+			// Sender.
+			n.o.Syscall()
+			n.advance(stack)
+			mem.StreamCopy(src+uint64(off), n.kbuf, chunk)
+			n.advance(n.checksumTime(chunk, true))
+			n.advance(n.driverTime(chunk, 0, true))
+			n.o.ContextSwitch()
+			// Receiver.
+			n.o.Syscall()
+			n.advance(stack)
+			n.advance(n.checksumTime(chunk, true))
+			mem.StreamCopy(n.kbuf, dst+uint64(off), chunk)
 		}
-		// Sender.
-		n.o.Syscall()
-		n.advance(stack)
-		mem.StreamCopy(src+uint64(off), n.kbuf, chunk)
-		n.advance(n.checksumTime(chunk, true))
-		n.advance(n.driverTime(chunk, 0, true))
-		n.o.ContextSwitch()
-		// Receiver.
-		n.o.Syscall()
-		n.advance(stack)
-		n.advance(n.checksumTime(chunk, true))
-		mem.StreamCopy(n.kbuf, dst+uint64(off), chunk)
-	}
+	})
 	return nil
 }
 

@@ -3,6 +3,8 @@ package simos
 import (
 	"errors"
 	"math/rand"
+
+	"repro/internal/simmem"
 )
 
 // Pipe is a simulated Unix pipe: a one-way byte stream with a kernel
@@ -27,22 +29,26 @@ func (p *Pipe) BufSize() int { return p.o.cfg.PipeBufBytes }
 // reader's buffer at dst, charging per-chunk: a write syscall, a bcopy
 // into the kernel, a context switch to the reader, a read syscall, and
 // a bcopy out to the reader. Returns an error for non-positive n.
+// Repeated identical transfers are charged from the hierarchy's pass
+// memo (simmem.Hierarchy.Repeat).
 func (p *Pipe) Transfer(src, dst uint64, n int64) error {
 	if n <= 0 {
 		return errors.New("simos: pipe transfer needs positive size")
 	}
-	buf := int64(p.o.cfg.PipeBufBytes)
-	for off := int64(0); off < n; off += buf {
-		chunk := buf
-		if rem := n - off; rem < chunk {
-			chunk = rem
+	p.o.mem.Repeat(simmem.Key{Owner: p, Args: [6]uint64{src, dst, uint64(n)}}, 4*n, func() {
+		buf := int64(p.o.cfg.PipeBufBytes)
+		for off := int64(0); off < n; off += buf {
+			chunk := buf
+			if rem := n - off; rem < chunk {
+				chunk = rem
+			}
+			p.o.Syscall() // write
+			p.o.mem.StreamCopy(src+uint64(off), p.kbuf, chunk)
+			p.o.ContextSwitch() // writer blocks, reader runs
+			p.o.Syscall()       // read
+			p.o.mem.StreamCopy(p.kbuf, dst+uint64(off), chunk)
 		}
-		p.o.Syscall() // write
-		p.o.mem.StreamCopy(src+uint64(off), p.kbuf, chunk)
-		p.o.ContextSwitch() // writer blocks, reader runs
-		p.o.Syscall()       // read
-		p.o.mem.StreamCopy(p.kbuf, dst+uint64(off), chunk)
-	}
+	})
 	return nil
 }
 
@@ -76,6 +82,7 @@ type Ring struct {
 	footprints [][]uint64 // per-process page lists
 	pageSize   int64
 	lastPage   int64 // bytes summed on the final (partial) page
+	footprint  int64
 	scratch    uint64
 	kbuf       uint64
 	cur        int
@@ -96,10 +103,11 @@ func (o *OS) NewRing(n int, footprint int64) (*Ring, error) {
 		return nil, errors.New("simos: negative footprint")
 	}
 	r := &Ring{
-		o:        o,
-		pageSize: o.mem.PageSize(),
-		scratch:  o.mem.Alloc(64),
-		kbuf:     o.mem.Alloc(int64(o.cfg.PipeBufBytes)),
+		o:         o,
+		pageSize:  o.mem.PageSize(),
+		footprint: footprint,
+		scratch:   o.mem.Alloc(64),
+		kbuf:      o.mem.Alloc(int64(o.cfg.PipeBufBytes)),
 	}
 	// Deterministic placement per ring shape so runs are reproducible.
 	rng := rand.New(rand.NewSource(int64(n)*7919 + footprint))
@@ -139,10 +147,21 @@ func (r *Ring) Pass() {
 	}
 }
 
+// Circulate moves the token once around the whole ring, Procs hops,
+// which leaves the current process where it was. A circulation repeated
+// with nothing else touching the hierarchy is charged from the
+// hierarchy's pass memo (simmem.Hierarchy.Repeat), keyed by the ring
+// and its current process.
+func (r *Ring) Circulate() {
+	n := len(r.footprints)
+	work := int64(n) * (r.footprint + 32) // two word copies per hop, each read and written
+	r.o.mem.Repeat(simmem.Key{Owner: r, Args: [6]uint64{uint64(r.cur)}}, work, func() {
+		for i := 0; i < n; i++ {
+			r.Pass()
+		}
+	})
+}
+
 // Warm circulates the token around the whole ring once so that steady
 // state is reached before measurement.
-func (r *Ring) Warm() {
-	for i := 0; i < len(r.footprints); i++ {
-		r.Pass()
-	}
-}
+func (r *Ring) Warm() { r.Circulate() }
