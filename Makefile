@@ -89,6 +89,7 @@ bench-smoke:
 	LMBENCH_SWEEP_MODE=adaptive \
 		$(GO) test -run '^$$' -bench Figure1SweepPlanning -benchtime 1x . > /dev/null
 	$(GO) test -run '^$$' -bench '$(BENCH_MICRO)' -benchtime 1x ./internal/simmem/ > /dev/null
+	$(GO) test -run '^$$' -bench CalibrateDRAM -benchtime 1x ./internal/machines/ > /dev/null
 
 # serve-smoke boots a short real run with `-serve` and proves all
 # three HTTP endpoints answer while the run is live; part of verify so

@@ -7,11 +7,13 @@
 // geometry and latencies from Table 6, read/write bandwidth from
 // Table 2, syscall cost from Table 7, round-trip targets from Tables
 // 12-15, metadata targets from Table 16). Build inverts the mechanistic
-// cost models to find the underlying parameters — e.g. DRAM streaming
-// fill time from read bandwidth, per-page fork cost from the Table 9
-// total — so that every *derived* result (bandwidth ratios, Figure 1
-// plateaus, the Figure 2 knee, the process-creation ladder) emerges
-// from the simulation rather than being looked up.
+// cost models to find the underlying parameters — e.g. per-page fork
+// cost from the Table 9 total, and DRAM fill and writeback times from
+// the Table 2 bandwidths, bisected against one simulated stream per
+// direction whose exact cost breakdown prices every probe — so that
+// every *derived* result (bandwidth ratios, Figure 1 plateaus, the
+// Figure 2 knee, the process-creation ladder) emerges from the
+// simulation rather than being looked up.
 package machines
 
 import (

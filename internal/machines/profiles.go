@@ -5,8 +5,8 @@ import (
 	"fmt"
 	"math/rand"
 	"sort"
-	"sync"
 
+	"repro/internal/ptime"
 	"repro/internal/sim"
 	"repro/internal/simdisk"
 	"repro/internal/simfs"
@@ -130,12 +130,11 @@ func Build(p Profile) (*Machine, error) {
 	if line <= 0 {
 		line = 32
 	}
-	memCfg := simmem.Config{
-		Caches: p.Caches,
-		DRAM:   invertDRAM(p, line),
-		TLB:    p.TLB,
+	dram, err := calibrateDRAM(p, line)
+	if err != nil {
+		return nil, fmt.Errorf("machines: %s: %w", p.Name, err)
 	}
-	mem, err := simmem.New(cpu, memCfg)
+	mem, err := simmem.New(cpu, simmem.Config{Caches: p.Caches, DRAM: dram, TLB: p.TLB})
 	if err != nil {
 		return nil, fmt.Errorf("machines: %s: %w", p.Name, err)
 	}
@@ -188,45 +187,47 @@ func Build(p Profile) (*Machine, error) {
 	return m, nil
 }
 
-// invertDRAM derives DRAM timing from the Table-2 bandwidth targets.
-// Because streaming cost depends on the whole hierarchy (larger
-// lower-level lines convert some chunk misses into lower-level hits),
-// the inversion runs the actual streaming workload on scratch
-// hierarchies and bisects FillNS (for the read target) and then
-// WritebackNS (for the write target). Measured bandwidth is monotone
-// in both parameters, so bisection converges.
-func invertDRAM(p Profile, line int) simmem.DRAMConfig {
-	key := fmt.Sprintf("%s|%g|%g|%g|%g|%d|%v", p.Name, p.MHz, p.MemLatNS, p.ReadBW, p.WriteBW, p.IssueWidth, p.Caches)
-	if v, ok := dramCache.Load(key); ok {
-		return v.(simmem.DRAMConfig)
-	}
-	cfg := calibrateDRAM(p, line)
-	dramCache.Store(key, cfg)
-	return cfg
-}
-
-var dramCache sync.Map
-
-func calibrateDRAM(p Profile, line int) simmem.DRAMConfig {
+// calibrateDRAM derives DRAM timing from the Table-2 bandwidth
+// targets. Streaming cost depends on the whole hierarchy (larger
+// lower-level lines turn some chunk misses into lower-level hits), so
+// the targets are met on a simulated stream through the profile's own
+// caches: a 1 MB read for FillNS, then a 1 MB write after a dirty prime
+// for WritebackNS, each bisected against its target. Measured
+// bandwidth is monotone in both parameters, so bisection converges.
+//
+// Each stream is simulated once. Cache state in simmem depends on
+// addresses alone, so the stream's fills and writebacks are the same
+// for every candidate timing, and its simmem.StreamCost prices every
+// bisection probe exactly — the same picoseconds, hence the same
+// bandwidth bits, as simulating the probe on a fresh hierarchy.
+func calibrateDRAM(p Profile, line int) (simmem.DRAMConfig, error) {
 	cfg := simmem.DRAMConfig{LatencyNS: p.MemLatNS}
 	if cfg.LatencyNS <= 0 {
 		cfg.LatencyNS = 300
 	}
 	naive := float64(line) / (1 << 20) * 1e9 // ns per line at 1 MB/s
 	if p.ReadBW > 0 {
+		read, err := calibrationStream(p, false)
+		if err != nil {
+			return cfg, err
+		}
 		cfg.FillNS = bisect(1e-3, 4*naive/p.ReadBW+200, func(f float64) float64 {
 			c := cfg
 			c.FillNS = f
 			c.WritebackNS = 1
-			return -measureStreamBW(p, c, false) // decreasing in f
+			return -streamMBs(read.At(c)) // decreasing in f
 		}, -p.ReadBW)
 	}
 	cfg.WritebackNS = 1
 	if p.WriteBW > 0 {
+		write, err := calibrationStream(p, true)
+		if err != nil {
+			return cfg, err
+		}
 		cfg.WritebackNS = bisect(1e-3, 8*naive/p.WriteBW+200, func(w float64) float64 {
 			c := cfg
 			c.WritebackNS = w
-			return -measureStreamBW(p, c, true)
+			return -streamMBs(write.At(c))
 		}, -p.WriteBW)
 		if cfg.WritebackNS < 1 {
 			// Machines like the Power2 write faster than they read
@@ -235,39 +236,42 @@ func calibrateDRAM(p Profile, line int) simmem.DRAMConfig {
 			cfg.WritebackNS = 1
 		}
 	}
-	return cfg
+	return cfg, nil
 }
 
-// measureStreamBW builds a scratch hierarchy with the candidate DRAM
-// timing and measures steady-state streaming bandwidth in MB/s.
-func measureStreamBW(p Profile, dram simmem.DRAMConfig, write bool) float64 {
-	clk := &sim.Clock{}
+// calibrationSpan is the length of a calibration stream.
+const calibrationSpan = 1 << 20
+
+// calibrationStream simulates one calibration stream on a scratch
+// hierarchy of the profile's caches and returns its cost breakdown.
+// A write stream first primes the caches with dirty data, so the timed
+// span evicts at steady state.
+func calibrationStream(p Profile, write bool) (simmem.StreamCost, error) {
 	width := p.IssueWidth
 	if width <= 0 {
 		width = 2
 	}
-	cpu := sim.NewCPU(clk, sim.CPUConfig{MHz: p.MHz, IssueWidth: width})
-	h, err := simmem.New(cpu, simmem.Config{Caches: p.Caches, DRAM: dram})
+	cpu := sim.NewCPU(&sim.Clock{}, sim.CPUConfig{MHz: p.MHz, IssueWidth: width})
+	h, err := simmem.New(cpu, simmem.Config{Caches: p.Caches})
 	if err != nil {
-		return 0
+		return simmem.StreamCost{}, err
 	}
 	var cacheTotal int64
 	for _, c := range p.Caches {
 		cacheTotal += c.Size
 	}
-	const span = 1 << 20
-	base := h.Alloc(cacheTotal + span)
+	base := h.Alloc(cacheTotal + calibrationSpan)
 	if write {
-		// Prime the caches with dirty data so the timed span evicts
-		// at steady state.
 		h.StreamWrite(base, cacheTotal)
-		start := clk.Now()
-		h.StreamWrite(base+uint64(cacheTotal), span)
-		return float64(span) / (1 << 20) / (clk.Now() - start).Seconds()
+		base += uint64(cacheTotal)
 	}
-	start := clk.Now()
-	h.StreamRead(base, span)
-	return float64(span) / (1 << 20) / (clk.Now() - start).Seconds()
+	return h.MeasureStream(base, calibrationSpan, write)
+}
+
+// streamMBs is the bandwidth, in MB/s, of a calibration stream that
+// took d.
+func streamMBs(d ptime.Duration) float64 {
+	return float64(calibrationSpan) / (1 << 20) / d.Seconds()
 }
 
 // bisect finds x in [lo, hi] where f(x) = target, assuming f increasing.

@@ -1,6 +1,8 @@
 package simmem
 
 import (
+	"fmt"
+
 	"repro/internal/ptime"
 )
 
@@ -159,6 +161,59 @@ func (h *Hierarchy) StreamWrite(addr uint64, bytes int64) {
 	}
 	h.clk.Advance(total)
 	h.endPass(&p, total)
+}
+
+// StreamCost is one streaming pass's exact cost, split by how it
+// depends on DRAM timing. Cache state changes with addresses alone
+// (replacement is LRU and no time feeds back into it), so a pass's
+// hits, DRAM fills and DRAM writebacks are the same under every
+// DRAMConfig, and under fill time F and writeback time W the pass
+// costs exactly
+//
+//	Fixed + Fills*max(Issue, F) + Writebacks*W
+//
+// integer picoseconds, F and W converted as New converts them.
+type StreamCost struct {
+	// Fixed is everything independent of DRAM timing: TLB walks,
+	// lower-level cache fills and the issue time of chunks that hit.
+	Fixed ptime.Duration
+	// Issue is the loop's per-chunk instruction issue time, which a
+	// DRAM fill overlaps.
+	Issue ptime.Duration
+	// Fills counts chunks filled from DRAM.
+	Fills int64
+	// Writebacks counts dirty lines retired to DRAM.
+	Writebacks int64
+}
+
+// At returns the pass's cost under DRAM timing d.
+func (c StreamCost) At(d DRAMConfig) ptime.Duration {
+	fill, wb := ptime.FromNS(d.fill()), ptime.FromNS(d.writeback())
+	return c.Fixed + ptime.Duration(c.Fills)*maxDur(c.Issue, fill) + ptime.Duration(c.Writebacks)*wb
+}
+
+// MeasureStream runs StreamRead over [addr, addr+bytes), or StreamWrite
+// when write is set, exactly as those calls do, and returns the pass's
+// StreamCost. It refuses hierarchies with NoWriteAllocate or HWCopy:
+// their stores retire to memory inside the per-chunk overlap, where the
+// writeback time is not a separate term.
+func (h *Hierarchy) MeasureStream(addr uint64, bytes int64, write bool) (StreamCost, error) {
+	if h.cfg.NoWriteAllocate || h.cfg.HWCopy {
+		return StreamCost{}, fmt.Errorf("simmem: stream cost is exact only with write-allocate stores and no hardware copy")
+	}
+	start, before := h.clk.Now(), h.Stats()
+	c := StreamCost{Issue: h.readIssue}
+	if write {
+		c.Issue = h.writeIssue
+		h.StreamWrite(addr, bytes)
+	} else {
+		h.StreamRead(addr, bytes)
+	}
+	d := h.Stats()
+	d.sub(before)
+	c.Fills, c.Writebacks = d.MemAccesses, d.Writebacks
+	c.Fixed = h.clk.Now() - start - ptime.Duration(c.Fills)*maxDur(c.Issue, h.memFill) - ptime.Duration(c.Writebacks)*h.memWB
+	return c, nil
 }
 
 // StreamCopy models bcopy: read the source, write the destination.
