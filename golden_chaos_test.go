@@ -21,7 +21,6 @@ import (
 
 	lmbench "repro"
 	"repro/internal/netfaults"
-	"repro/internal/results"
 )
 
 // killerConn hard-kills the daemon after `after` bytes of one session
@@ -52,14 +51,7 @@ func (k *killerConn) Read(p []byte) (int, error) {
 }
 
 func TestGoldenChaosPublishConverges(t *testing.T) {
-	raw, err := os.ReadFile("results/simulated.db")
-	if err != nil {
-		t.Fatal(err)
-	}
-	db, err := results.Decode(bytes.NewReader(raw))
-	if err != nil {
-		t.Fatal(err)
-	}
+	raw, db := committedGolden(t)
 	manifest := lmbench.Manifest{
 		Label:       "golden-chaos",
 		Machines:    db.Machines(),

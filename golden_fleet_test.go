@@ -1,10 +1,7 @@
 package lmbench_test
 
 import (
-	"bytes"
 	"context"
-	"crypto/sha256"
-	"encoding/hex"
 	"fmt"
 	"net"
 	"path/filepath"
@@ -22,23 +19,6 @@ import (
 // contract, and its cache metrics the unit cache's.
 var _ fleet.Observer = (*lmbench.FleetMetrics)(nil)
 var _ lmbench.CacheObserver = (*lmbench.CacheMetrics)(nil)
-
-func goldenHash(t *testing.T, db *results.DB) string {
-	t.Helper()
-	var buf bytes.Buffer
-	if err := db.Encode(&buf); err != nil {
-		t.Fatal(err)
-	}
-	sum := sha256.Sum256(buf.Bytes())
-	return hex.EncodeToString(sum[:])
-}
-
-func checkGolden(t *testing.T, db *results.DB, config string) {
-	t.Helper()
-	if got := goldenHash(t, db); got != goldenDBSHA256 {
-		t.Errorf("%s: database hash %s, want %s", config, got, goldenDBSHA256)
-	}
-}
 
 // startFleet boots n worker daemons in this process on loopback and
 // returns their addresses; the daemons drain when the test ends.

@@ -16,22 +16,13 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptest"
-	"os"
 	"testing"
 
 	lmbench "repro"
-	"repro/internal/results"
 )
 
 func TestGoldenDBPublishServeByteIdentical(t *testing.T) {
-	raw, err := os.ReadFile("results/simulated.db")
-	if err != nil {
-		t.Fatal(err)
-	}
-	db, err := results.Decode(bytes.NewReader(raw))
-	if err != nil {
-		t.Fatal(err)
-	}
+	raw, db := committedGolden(t)
 
 	// Publish over the real wire protocol into a fresh store.
 	s, err := lmbench.OpenStore(t.TempDir())

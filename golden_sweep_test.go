@@ -31,7 +31,10 @@ import (
 //
 // Exhaustive mode needs no gate here: goldenOpts' zero SweepMode
 // normalizes to SweepExhaustive, so TestGoldenDatabaseByteIdentical
-// already pins the default path bit-for-bit.
+// already pins the default path bit-for-bit. The gate therefore reads
+// each profile's exhaustive sweep from the committed golden database,
+// which TestCommittedGoldenPinned pins to the same hash, instead of
+// simulating it again.
 
 const sweepLatencyTolerance = 0.25
 
@@ -78,12 +81,16 @@ func withinTol(got, want, tol float64) bool {
 
 func TestAdaptiveSweepAccuracyGate(t *testing.T) {
 	if testing.Short() {
-		t.Skip("runs the memory sweep 4x on every profile; skipped with -short")
+		t.Skip("runs the adaptive memory sweep 3x on every profile; skipped with -short")
 	}
+	_, golden := committedGolden(t)
 	for _, name := range machines.Names() {
 		t.Run(name, func(t *testing.T) {
+			exhaustive, ok := golden.Get("lat_mem_rd", name)
+			if !ok {
+				t.Fatalf("%s has no lat_mem_rd entry for %s", goldenDBPath, name)
+			}
 			opts := goldenOpts()
-			exhaustive := sweepOn(t, name, opts)
 			opts.SweepMode = core.SweepAdaptive
 			adaptive := sweepOn(t, name, opts)
 
@@ -96,7 +103,7 @@ func TestAdaptiveSweepAccuracyGate(t *testing.T) {
 				}
 			}
 
-			exh, adp := exhaustive[0].Series, adaptive[0].Series
+			exh, adp := exhaustive.Series, adaptive[0].Series
 			if len(adp) != len(exh) {
 				t.Fatalf("adaptive grid has %d points, exhaustive %d", len(adp), len(exh))
 			}

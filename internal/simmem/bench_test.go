@@ -62,8 +62,10 @@ func BenchmarkLoadFullyAssocHit(b *testing.B) {
 
 // BenchmarkChaseDRAM walks a memory-sized pointer chase — the Figure-1
 // plateau workload: every load misses all levels, evicts, and charges
-// DRAM latency. Each Walk covers at most one lap, which is never
-// extrapolated, so ns/op stays the simulated per-load miss path.
+// DRAM latency. Each Walk covers at most one lap, and a zero-byte read
+// before it bumps the hierarchy's epoch and nothing else, so no lap
+// chains on the previous one and ns/op stays the simulated per-load
+// miss path.
 func BenchmarkChaseDRAM(b *testing.B) {
 	h := benchHierarchy(b, nil)
 	base := h.Alloc(4 << 20)
@@ -73,13 +75,17 @@ func BenchmarkChaseDRAM(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for left := int64(b.N); left > 0; left -= lap {
+		h.StreamRead(0, 0)
 		ch.Walk(min(left, lap))
+	}
+	if h.PassHits() != 0 {
+		b.Fatalf("%d laps charged from the memo", h.PassHits())
 	}
 }
 
-// BenchmarkChaseDRAMSteady is the extrapolated path: one op is a
-// Figure-1 timed walk of two laps on a chase whose steady state is
-// already verified, so whole laps are charged without simulation.
+// BenchmarkChaseDRAMSteady is the memo's lap path: one op is a
+// Figure-1 timed walk of two laps chained on a lap already verified
+// steady, so both laps are charged without simulation.
 func BenchmarkChaseDRAMSteady(b *testing.B) {
 	h := benchHierarchy(b, nil)
 	base := h.Alloc(4 << 20)
@@ -87,10 +93,14 @@ func BenchmarkChaseDRAMSteady(b *testing.B) {
 	lap := ch.Length()
 	ch.Walk(lap)     // warm
 	ch.Walk(2 * lap) // verify the steady state
+	hits := h.PassHits()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		ch.Walk(2 * lap)
+	}
+	if got := h.PassHits() - hits; got != 2*int64(b.N) {
+		b.Fatalf("%d of %d laps charged from the memo", got, 2*b.N)
 	}
 }
 

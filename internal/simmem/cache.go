@@ -589,9 +589,9 @@ type Hierarchy struct {
 	tlbHoistStreams int
 
 	// epoch counts calls that may change cache or TLB state; every
-	// exported method that probes or flushes bumps it. A Chase's
-	// steady-state memo, and a pass memo slot, is valid only while the
-	// epoch is the one its last call left behind.
+	// exported method that probes or flushes bumps it. A pass memo
+	// slot — a chase's last lap or the last Stream* or Repeat call — is
+	// valid only while the epoch is the one its last pass left behind.
 	epoch uint64
 
 	// memo holds one pass-memo slot per Repeat nesting depth; depth is
@@ -690,7 +690,7 @@ func (h *Hierarchy) CPU() *sim.CPU { return h.cpu }
 // Stats returns a copy of the accumulated counters. The fast-path
 // counters (MRUHits, IndexHits) are aggregated across every cache level
 // and the TLB at call time, on top of the hierarchy-wide share charged
-// for extrapolated chase laps.
+// for passes charged from the pass memo.
 func (h *Hierarchy) Stats() Stats {
 	s := h.stats
 	s.Hits = append([]int64(nil), h.stats.Hits...)

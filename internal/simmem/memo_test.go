@@ -79,16 +79,18 @@ func randMemoPass(rng *rand.Rand, base uint64, region int64, depth int) memoPass
 }
 
 // TestPassMemoMatchesSimulation drives two identical hierarchies
-// through the same random call sequence. The reference issues a
-// zero-byte StreamRead before every call and between the calls inside
-// every composite, which bumps the epoch and nothing else, so none of
-// its passes ever chains and all of them are simulated. The other runs
-// the sequence as is, so repeated passes are charged from the memo.
-// Clock, every Stats counter and the canonical state must agree after
-// every call.
+// through the same random call sequence of passes and chase walks (one
+// lap, several laps, or a tail after up to two laps). The reference
+// issues a zero-byte StreamRead before every call and between the calls
+// inside every composite, which bumps the epoch and nothing else, and
+// walks its chase one Load at a time, so none of its passes ever chains
+// and all of them are simulated. The other runs the sequence as is, so
+// repeated passes and laps are charged from the memo. Clock, every
+// Stats counter, the chase offset and the canonical state must agree
+// after every call.
 func TestPassMemoMatchesSimulation(t *testing.T) {
 	rng := rand.New(rand.NewSource(14))
-	var memoHits int64
+	var memoHits, lapHits int64
 	for trial := 0; trial < 300; trial++ {
 		cfg := randSteadyConfig(rng)
 		var hs [2]*Hierarchy
@@ -122,10 +124,11 @@ func TestPassMemoMatchesSimulation(t *testing.T) {
 		}
 		stride := int64(4 * (1 + rng.Intn(16)))
 		size := stride + rng.Int63n(region-stride+1)
-		chases := [2]*Chase{hs[0].NewChase(base, size, stride), hs[1].NewChase(base, size, stride)}
+		ch := hs[0].NewChase(base, size, stride)
+		ref := &refChase{h: hs[1], base: base, size: size, stride: stride}
 		for step := 0; step < 30; step++ {
 			var desc string
-			switch op := rng.Intn(10); {
+			switch op := rng.Intn(12); {
 			case op < 7:
 				p := pool[rng.Intn(len(pool))]
 				reps := 1 + rng.Intn(4)
@@ -142,16 +145,26 @@ func TestPassMemoMatchesSimulation(t *testing.T) {
 					desc = "Store"
 					each(func(h *Hierarchy, _ func()) { h.Store(a) })
 				}
-			case op < 9:
-				n := rng.Int63n(3 * chases[0].period)
-				desc = fmt.Sprintf("Chase.Walk(%d)", n)
-				each(func(h *Hierarchy, _ func()) {
-					for _, c := range chases {
-						if c.h == h {
-							c.Walk(n)
-						}
-					}
-				})
+			case op < 11:
+				// The chase's laps share slot 0 with the passes above;
+				// the reference walks it one Load at a time.
+				var n int64
+				switch rng.Intn(3) {
+				case 0:
+					n = ch.period
+				case 1:
+					n = ch.period * int64(2+rng.Intn(3))
+				default:
+					n = ch.period*int64(rng.Intn(3)) + rng.Int63n(ch.period)
+				}
+				desc = fmt.Sprintf("Chase.Walk(%d) at offset %d", n, ch.off)
+				hits := hs[0].PassHits()
+				ch.Walk(n)
+				ref.walk(n)
+				lapHits += hs[0].PassHits() - hits
+				if ch.off != ref.off {
+					t.Fatalf("trial %d step %d after %s: offset %d, want %d", trial, step, desc, ch.off, ref.off)
+				}
 			default:
 				desc = "FlushAll"
 				each(func(h *Hierarchy, _ func()) { h.FlushAll() })
@@ -172,9 +185,14 @@ func TestPassMemoMatchesSimulation(t *testing.T) {
 		}
 		memoHits += hs[0].PassHits()
 	}
-	// The check is vacuous unless the memo actually charges passes.
-	if memoHits < 2000 {
-		t.Errorf("only %d passes charged from the memo", memoHits)
+	// The check is vacuous unless the memo actually charges passes and
+	// laps.
+	t.Logf("%d passes and %d laps charged from the memo", memoHits-lapHits, lapHits)
+	if memoHits-lapHits < 2000 {
+		t.Errorf("only %d passes charged from the memo", memoHits-lapHits)
+	}
+	if lapHits < 1000 {
+		t.Errorf("only %d laps charged from the memo", lapHits)
 	}
 }
 

@@ -6,19 +6,16 @@ import (
 	"repro/internal/ptime"
 )
 
-// Steady-state extrapolation (see DESIGN.md §6b). A pointer chase
-// revisits the same addresses in the same order every lap. Once one
-// lap leaves the hierarchy's canonical state — per set, the valid lines
-// in recency order with their dirty bits, plus whether the MRU hint
-// names a valid line — exactly where it found it, every later lap
-// replays the same hits, misses, evictions and costs, so Chase.Walk
-// charges them in one step instead of simulating them.
-//
-// The same fixed point holds across calls: a streaming pass (or a
-// composite pass run through Repeat) repeated with identical arguments
-// and nothing else touching the hierarchy in between replays the same
-// costs once one repetition leaves the canonical state unchanged. The
-// pass memo below charges those repetitions in one step.
+// The steady-state memo (see DESIGN.md §6b). A pass — one lap of a
+// pointer chase, one streaming call, one composite run through Repeat —
+// that is repeated with nothing else touching the hierarchy in between
+// replays the same hits, misses, evictions and costs once one
+// repetition leaves the hierarchy's canonical state — per set, the
+// valid lines in recency order with their dirty bits, plus whether the
+// MRU hint names a valid line — exactly where it found it. The pass
+// memo below verifies that once and then charges every further
+// repetition in one step: the laps of Chase.Walk and the repeated
+// Stream* and Repeat calls alike.
 
 // maxCanonAssoc bounds the ways of a set-associative set the canonical
 // encoding sorts on the stack; wider sets are never extrapolated.
@@ -189,36 +186,6 @@ func (h *Hierarchy) addLaps(d *Stats, laps int64) {
 	h.stats.IndexHits += laps * d.IndexHits
 }
 
-// verify simulates whole laps while at least two remain, until one
-// leaves the canonical state unchanged; it then records that lap's cost
-// and counter delta and sets c.steady. It returns the simulated laps'
-// cost and the loads still to walk.
-func (c *Chase) verify(n int64) (ptime.Duration, int64) {
-	h := c.h
-	bp := h.canonBuf()
-	defer canonPool.Put(bp)
-	var total ptime.Duration
-	for n >= 2*c.period {
-		snap := canonWalker{buf: (*bp)[:0], ok: true}
-		if !h.canon(&snap) {
-			break
-		}
-		*bp = snap.buf
-		before := h.Stats()
-		lap := c.walk(c.period)
-		total += lap
-		n -= c.period
-		if h.canon(&canonWalker{buf: *bp, check: true, ok: true}) {
-			c.delta = h.Stats()
-			c.delta.sub(before)
-			c.lapCost = lap
-			c.steady = true
-			break
-		}
-	}
-	return total, n
-}
-
 // Key names one pass for the pass memo. Owner is compared by identity,
 // so it should be the pointer whose pass this is; Args are the pass's
 // exact arguments, unused ones zero. No hashing is involved: two calls
@@ -260,29 +227,34 @@ type pass struct {
 	before Stats
 }
 
-// beginPass opens a pass of the given probe count under key k. A
-// repetition chained on a verified steady pass is charged here and hit
-// reports true; otherwise the caller simulates the pass and closes it
-// with endPass. Passes too small for a snapshot to pay (probes <= 0
-// opts out) only bump the epoch.
-func (h *Hierarchy) beginPass(k Key, probes int64) (p pass, hit bool) {
+// beginPass opens the first of reps back-to-back repetitions of a pass
+// of the given probe count under key k. When the slot holds k at the
+// current epoch with a verified steady repetition, all reps are charged
+// here and hit reports true. Otherwise the caller simulates one
+// repetition and closes it with endPass; it is verified against a
+// snapshot when it chains on the slot's last pass or when another
+// repetition follows it. Passes too small for a snapshot to pay
+// (probes <= 0 opts out) only bump the epoch.
+func (h *Hierarchy) beginPass(k Key, probes, reps int64) (p pass, hit bool) {
 	if probes <= 0 || h.depth >= maxPassDepth || !h.canonPays(probes) {
 		h.epoch++
 		return p, false
 	}
 	m := &h.memo[h.depth]
 	p.m = m
-	switch {
-	case m.key != k || m.epoch != h.epoch:
-		m.key, m.steady = k, false
-	case m.steady:
-		h.clk.Advance(m.cost)
-		h.addLaps(&m.delta, 1)
-		h.passHits++
+	chained := m.key == k && m.epoch == h.epoch
+	if chained && m.steady {
+		h.clk.Advance(ptime.Duration(reps) * m.cost)
+		h.addLaps(&m.delta, reps)
+		h.passHits += reps
 		h.epoch++
 		m.epoch = h.epoch
 		return p, true
-	default:
+	}
+	if !chained {
+		m.key, m.steady = k, false
+	}
+	if chained || reps > 1 {
 		bp := h.canonBuf()
 		w := canonWalker{buf: (*bp)[:0], ok: true}
 		ok := h.canon(&w)
@@ -316,6 +288,20 @@ func (h *Hierarchy) endPass(p *pass, cost ptime.Duration) {
 	m.epoch = h.epoch
 }
 
+// continuePass bumps the epoch after a call that ran part of k's next
+// repetition — a chase's partial lap — and keeps a slot that was current
+// under k current: a fixed point of k's lap is still one after any run
+// of k's own loads, for the lap starting where they stop (DESIGN.md
+// §6b).
+func (h *Hierarchy) continuePass(k Key) {
+	h.epoch++
+	if h.depth < maxPassDepth {
+		if m := &h.memo[h.depth]; m.key == k && m.epoch+1 == h.epoch {
+			m.epoch = h.epoch
+		}
+	}
+}
+
 // PassHits returns how many passes the pass memo has charged without
 // simulating them — fast-path effectiveness, not a cost-model quantity.
 func (h *Hierarchy) PassHits() int64 { return h.passHits }
@@ -332,7 +318,7 @@ func (h *Hierarchy) PassHits() int64 { return h.passHits }
 // the hierarchy and any state of its own — is a function of key and the
 // hierarchy's canonical state alone.
 func (h *Hierarchy) Repeat(key Key, work int64, fn func()) {
-	p, hit := h.beginPass(key, work/h.chunk)
+	p, hit := h.beginPass(key, work/h.chunk, 1)
 	if hit {
 		return
 	}

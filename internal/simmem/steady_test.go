@@ -39,6 +39,13 @@ func randSteadyConfig(rng *rand.Rand) Config {
 	return cfg
 }
 
+// chaseSteady reports whether the pass memo holds a verified lap of c
+// that c's next whole lap would be charged from.
+func chaseSteady(c *Chase) bool {
+	m := &c.h.memo[c.h.depth]
+	return m.key == Key{Owner: c} && m.epoch == c.h.epoch && m.steady
+}
+
 // canonState returns the hierarchy's canonical state encoding.
 func canonState(t *testing.T, h *Hierarchy) []uint32 {
 	t.Helper()
@@ -66,12 +73,12 @@ func (r *refChase) walk(n int64) {
 
 // TestChaseExtrapolationMatchesSimulation drives two identical
 // hierarchies through the same random sequence: one walks its chases
-// with Chase.Walk (which extrapolates verified steady laps), the other
-// with the per-load loop. Between walks both see the same random loads,
-// stores, streaming kernels, dirty and write chases, page chases and
-// flushes, each of which must invalidate any remembered steady state. After every call the clocks, every Stats
-// counter, the chase offsets and the canonical cache/TLB state must be
-// identical.
+// with Chase.Walk (which charges verified steady laps from the pass
+// memo), the other with the per-load loop. Between walks both see the
+// same random loads, stores, streaming kernels, dirty and write chases,
+// page chases and flushes, each of which must invalidate any remembered
+// steady state. After every call the clocks, every Stats counter, the
+// chase offsets and the canonical cache/TLB state must be identical.
 func TestChaseExtrapolationMatchesSimulation(t *testing.T) {
 	rng := rand.New(rand.NewSource(12))
 	extrapolated := 0
@@ -112,16 +119,17 @@ func TestChaseExtrapolationMatchesSimulation(t *testing.T) {
 				ch, period := chases[i], chases[i].period
 				var n int64
 				switch rng.Intn(3) {
-				case 0: // below two laps: never extrapolated
+				case 0: // below two laps: charged only when chained
 					n = rng.Int63n(2 * period)
 				case 1: // whole laps
 					n = period * int64(2+rng.Intn(4))
 				default: // whole laps plus a tail
 					n = period*int64(2+rng.Intn(4)) + rng.Int63n(period)
 				}
+				hits := hs[0].PassHits()
 				ch.Walk(n)
 				refs[i].walk(n)
-				if ch.steady {
+				if hs[0].PassHits() > hits {
 					extrapolated++
 				}
 				if ch.off != refs[i].off {
@@ -181,6 +189,7 @@ func TestChaseExtrapolationMatchesSimulation(t *testing.T) {
 		}
 	}
 	// The check is vacuous unless extrapolation actually fires.
+	t.Logf("%d walks charged laps from the memo", extrapolated)
 	if extrapolated < 1000 {
 		t.Errorf("only %d walks extrapolated", extrapolated)
 	}
@@ -211,21 +220,26 @@ func TestChaseSteadyMemo(t *testing.T) {
 			ch := h.NewChase(base, 1<<20, 128)
 			other := h.NewChase(base, 4096, 64)
 			ch.Walk(ch.Length())
-			if ch.steady {
+			if chaseSteady(ch) {
 				t.Fatal("a one-lap walk verified a steady state")
 			}
 			ch.Walk(2 * ch.Length())
-			if !ch.steady {
-				t.Fatal("a DRAM-sized chase found no steady state")
+			if !chaseSteady(ch) || h.PassHits() != 1 {
+				t.Fatalf("a DRAM-sized chase found no steady state (%d laps charged)", h.PassHits())
 			}
 			ch.Walk(3*ch.Length() + 5)
-			if !ch.steady || ch.epoch != h.epoch {
-				t.Fatal("the memo did not survive the chase's own walk")
+			if !chaseSteady(ch) || h.PassHits() != 4 {
+				t.Fatalf("the memo did not survive the chase's own walk (%d laps charged)", h.PassHits())
 			}
 			touch(h, other, base)
 			ch.Walk(1)
-			if ch.steady {
+			if chaseSteady(ch) {
 				t.Fatalf("the memo survived %s", name)
+			}
+			hits := h.PassHits()
+			ch.Walk(ch.Length())
+			if h.PassHits() != hits {
+				t.Fatalf("a lap after %s was charged from the memo", name)
 			}
 		})
 	}
@@ -267,8 +281,10 @@ func TestChaseSteadyMRUHintBit(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		hs[1].Load(base)
 	}
-	if !ch.steady {
-		t.Fatal("the one-line chase found no steady state")
+	// The first lap's verification fails on the hint bit, the second
+	// verifies, and the other eight are charged.
+	if !chaseSteady(ch) || hs[0].PassHits() != 8 {
+		t.Fatalf("the one-line chase found no steady state (%d laps charged)", hs[0].PassHits())
 	}
 	if got, want := hs[0].Stats(), hs[1].Stats(); !reflect.DeepEqual(got, want) {
 		t.Fatalf("stats %+v, want %+v", got, want)

@@ -8,7 +8,7 @@ import (
 
 // The streaming and pointer-chase loops below are the simulator's hot
 // paths: one call walks megabytes of simulated memory. They are written
-// around four exact-equivalence optimizations (see DESIGN.md
+// around three exact-equivalence optimizations (see DESIGN.md
 // "Performance engineering"):
 //
 //   - Batched clock charging: per-access costs accumulate in a local
@@ -25,16 +25,12 @@ import (
 //     only when Hierarchy.tlbHoistStreams proves no stream's entry can
 //     be evicted mid-page (otherwise every chunk probes, as before).
 //
-//   - Steady-state lap extrapolation (Chase.Walk only): once a whole lap
-//     of the chase leaves the hierarchy's canonical state unchanged,
-//     every later lap costs the same, so the remaining whole laps are
-//     charged in one step (steady.go).
-//
-//   - The pass memo (the Stream* calls, and composites run through
-//     Repeat): a call repeating the previous call's exact arguments,
-//     with nothing else touching the hierarchy in between, is simulated
-//     once more against a snapshot of the canonical state; if it comes
-//     back unchanged, every further chained repetition is charged its
+//   - The steady-state memo (Chase.Walk's whole laps, the Stream*
+//     calls, and composites run through Repeat): a pass repeated with
+//     nothing else touching the hierarchy in between — the next lap of
+//     a chase, or a call with the previous call's exact arguments — is
+//     simulated once against a snapshot of the canonical state; if it
+//     comes back unchanged, every further repetition is charged its
 //     recorded clock and counter deltas in one step (steady.go).
 
 // chunkSize returns the streaming granularity: the first-level line
@@ -99,7 +95,7 @@ func (h *Hierarchy) StreamRead(addr uint64, bytes int64) {
 		h.epoch++
 		return
 	}
-	p, hit := h.beginPass(Key{Owner: h, Args: [6]uint64{opRead, addr, uint64(bytes)}}, h.chunks(bytes))
+	p, hit := h.beginPass(Key{Owner: h, Args: [6]uint64{opRead, addr, uint64(bytes)}}, h.chunks(bytes), 1)
 	if hit {
 		return
 	}
@@ -132,7 +128,7 @@ func (h *Hierarchy) StreamWrite(addr uint64, bytes int64) {
 		h.epoch++
 		return
 	}
-	p, hit := h.beginPass(Key{Owner: h, Args: [6]uint64{opWrite, addr, uint64(bytes)}}, h.chunks(bytes))
+	p, hit := h.beginPass(Key{Owner: h, Args: [6]uint64{opWrite, addr, uint64(bytes)}}, h.chunks(bytes), 1)
 	if hit {
 		return
 	}
@@ -238,7 +234,7 @@ func (h *Hierarchy) StreamCopyMode(src, dst uint64, bytes int64, hwCopy bool) {
 	if hwCopy {
 		op = opCopyHW
 	}
-	p, hit := h.beginPass(Key{Owner: h, Args: [6]uint64{op, src, dst, uint64(bytes)}}, 2*h.chunks(bytes))
+	p, hit := h.beginPass(Key{Owner: h, Args: [6]uint64{op, src, dst, uint64(bytes)}}, 2*h.chunks(bytes), 1)
 	if hit {
 		return
 	}
@@ -302,7 +298,7 @@ func (h *Hierarchy) StreamKernel(dst uint64, srcs []uint64, bytes int64, opsPerW
 		copy(k.Args[2:4], srcs)
 		probes = int64(len(srcs)+1) * h.chunks(bytes)
 	}
-	p, hit := h.beginPass(k, probes)
+	p, hit := h.beginPass(k, probes, 1)
 	if hit {
 		return
 	}
@@ -368,14 +364,6 @@ type Chase struct {
 	// period is the number of loads after which the offset repeats:
 	// size / gcd(size, stride).
 	period int64
-
-	// The steady-state memo: a verified lap's cost and counter delta,
-	// valid while the hierarchy's epoch still equals epoch (nothing but
-	// this chase has touched it since).
-	steady  bool
-	epoch   uint64
-	lapCost ptime.Duration
-	delta   Stats
 }
 
 // NewChase prepares a pointer chase over [base, base+size) with the
@@ -398,32 +386,34 @@ func (h *Hierarchy) NewChase(base uint64, size, stride int64) *Chase {
 // call stopped (the list wraps). The per-load costs accumulate locally
 // and charge the clock once.
 //
-// Whole laps past a verified steady state are charged without being
-// simulated: with at least two laps to go, Walk simulates one lap and,
-// if the hierarchy's canonical state came back unchanged, adds the
-// remaining whole laps' cost and counters in one step, then simulates
-// the tail. A later Walk with nothing else touching the hierarchy in
-// between reuses that verification. The clock, counters, offset and
-// observable cache state are exactly those of the per-load loop.
+// Each whole lap is a pass of the steady-state memo under the chase's
+// own key: a lap followed by another, or chained on the chase's last
+// lap with nothing else touching the hierarchy in between, is verified
+// against a snapshot, and once one lap left the canonical state
+// unchanged the remaining whole laps are charged in one step. The tail
+// is simulated. The clock, counters, offset and observable cache state
+// are exactly those of the per-load loop.
 func (c *Chase) Walk(n int64) {
 	h := c.h
-	if c.epoch != h.epoch {
-		c.steady = false
-	}
+	k := Key{Owner: c}
 	var total ptime.Duration
-	if !c.steady && n >= 2*c.period && h.canonPays(c.period) {
-		total, n = c.verify(n)
-	}
-	if c.steady {
-		laps := n / c.period
-		total += ptime.Duration(laps) * c.lapCost
-		h.addLaps(&c.delta, laps)
-		n -= laps * c.period
+	for laps := n / c.period; laps > 0; laps-- {
+		p, hit := h.beginPass(k, c.period, laps)
+		if hit {
+			n -= laps * c.period
+			break
+		}
+		if p.m == nil {
+			break // too small to memoise: every lap is simulated below
+		}
+		lap := c.walk(c.period)
+		h.endPass(&p, lap)
+		total += lap
+		n -= c.period
 	}
 	total += c.walk(n)
 	h.clk.Advance(total)
-	h.epoch++
-	c.epoch = h.epoch
+	h.continuePass(k)
 }
 
 // walk simulates n loads and returns their summed cost.
