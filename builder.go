@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"os"
 	"time"
 
 	"repro/internal/calibrate"
@@ -144,7 +143,10 @@ func WithMaxRSD(frac float64, retries int) Option {
 // truncated), and the run keeps journaling to the same file — so a
 // resumed run that crashes again is itself resumable. Serial,
 // parallel and fleet runs write the identical format and can resume
-// one another's journals.
+// one another's journals. Records carry no options fingerprint and
+// only the sweep mode is checked on replay, so resume a journal with
+// the options of the run that wrote it: a full-size run resumed from
+// a WithOptions-shrunk journal replays the shrunk entries silently.
 func WithJournal(path string) Option {
 	return func(b *Bench) { b.journalPath = path }
 }
@@ -189,8 +191,8 @@ func WithPublishRetries(n int) Option {
 // profile, experiment group, options fingerprint and code version, and
 // later runs with the same key reuse the fragment instead of
 // re-executing — the database comes out byte-identical either way.
-// Journal resume takes precedence over the cache for units present in
-// the journal.
+// With WithJournal too, a unit the journal holds replays from the
+// journal and never from the cache.
 func WithUnitCache(dir string) Option {
 	return func(b *Bench) { b.cacheDir = dir }
 }
@@ -339,18 +341,18 @@ func (b *Bench) Run(ctx context.Context) (*Report, error) {
 	if b.calibTarget != nil {
 		return b.runCalibration(ctx)
 	}
-	var only map[string]bool
-	if len(b.only) > 0 {
-		only = map[string]bool{}
-		for _, id := range b.only {
-			only[id] = true
-		}
-	}
-	journal, replay, closeJournal, err := openJournalPath(b.journalPath)
+	only, err := core.OnlySet(b.only)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("lmbench: %w", err)
 	}
-	defer closeJournal()
+	var journal *core.Journal
+	if b.journalPath != "" {
+		if journal, err = core.OpenJournal(b.journalPath); err != nil {
+			return nil, err
+		}
+		// Every record is synced as written, so Close loses nothing.
+		defer func() { _ = journal.Close() }()
+	}
 
 	db := &DB{}
 	var events EventSink
@@ -391,7 +393,7 @@ func (b *Bench) Run(ctx context.Context) (*Report, error) {
 			Connect:  b.fleetConnect,
 			Timeout:  b.timeout, Retries: b.retries, RetryBackoff: b.retryBackoff,
 			MaxRSD: b.maxRSD, QualityRetries: b.qualityRetries,
-			Journal: journal, Resume: replay,
+			Journal: journal,
 		}
 		if cache != nil {
 			// Guarded assignment: a nil *unitcache.Cache in the
@@ -412,7 +414,7 @@ func (b *Bench) Run(ctx context.Context) (*Report, error) {
 			Extended: b.extended,
 			Timeout:  b.timeout, Retries: b.retries, RetryBackoff: b.retryBackoff,
 			MaxRSD: b.maxRSD, QualityRetries: b.qualityRetries,
-			Journal: journal, Resume: replay,
+			Journal: journal,
 		}
 		if cache != nil {
 			runner.Cache = cache
@@ -515,40 +517,4 @@ func (r *Report) fillManifest(b *Bench) error {
 	r.manifest.Entries = r.DB.Len()
 	r.RunID = istore.RunIDFor(r.manifest)
 	return nil
-}
-
-// openJournalPath opens path with create-or-resume semantics: a new or
-// empty file starts a fresh journal; one with records replays them and
-// keeps appending past the last valid record.
-func openJournalPath(path string) (*core.JournalWriter, *core.JournalReplay, func(), error) {
-	if path == "" {
-		return nil, nil, func() {}, nil
-	}
-	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE, 0o644)
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	closeF := func() { _ = f.Close() }
-	replay, err := core.ReadJournal(f)
-	if err != nil {
-		closeF()
-		return nil, nil, nil, fmt.Errorf("%s: %w", path, err)
-	}
-	if err := f.Truncate(replay.ValidBytes); err != nil {
-		closeF()
-		return nil, nil, nil, err
-	}
-	if _, err := f.Seek(0, io.SeekEnd); err != nil {
-		closeF()
-		return nil, nil, nil, err
-	}
-	if replay.ValidBytes == 0 {
-		jw, err := core.NewJournalWriter(f)
-		if err != nil {
-			closeF()
-			return nil, nil, nil, err
-		}
-		return jw, nil, closeF, nil
-	}
-	return core.AppendJournalWriter(f), replay, closeF, nil
 }

@@ -23,7 +23,10 @@
 //	lmbench -out results.db          # save the database
 //	lmbench -merge old.db ...        # preload databases before running
 //	lmbench -journal run.jnl         # crash-safe journal of completed work
-//	lmbench -resume run.jnl          # replay a journal, run the remainder
+//	                                 # (starts the file afresh)
+//	lmbench -resume run.jnl          # replay a journal, run the remainder,
+//	                                 # keep journaling; pass the flags of the
+//	                                 # run that wrote it (only -sweep is checked)
 //	lmbench -chaos 'err=0.3,seed=1'  # inject faults (testing the harness)
 //	lmbench -sweep adaptive          # variance-aware sweep planning: measure
 //	                                 # transitions, interpolate plateaus
@@ -55,7 +58,6 @@ import (
 	"context"
 	"flag"
 	"fmt"
-	"io"
 	"net"
 	"os"
 	"os/signal"
@@ -228,24 +230,15 @@ func run() error {
 		db.Merge(loaded)
 	}
 
-	var only map[string]bool
+	var onlyIDs []string
 	if *onlyFlag != "" {
-		only = map[string]bool{}
 		for _, id := range strings.Split(*onlyFlag, ",") {
-			id = strings.TrimSpace(id)
-			if _, ok := core.ExperimentByID(id); !ok {
-				known := false
-				for _, e := range core.Extensions() {
-					if e.ID == id {
-						known = true
-					}
-				}
-				if !known {
-					return fmt.Errorf("unknown experiment %q", id)
-				}
-			}
-			only[id] = true
+			onlyIDs = append(onlyIDs, strings.TrimSpace(id))
 		}
+	}
+	only, err := core.OnlySet(onlyIDs)
+	if err != nil {
+		return err
 	}
 
 	var targets []core.Machine
@@ -383,9 +376,25 @@ func run() error {
 		sinks = append(sinks, tr)
 	}
 
-	journal, replay, err := openJournal(*journalFlag, *resumeFlag)
-	if err != nil {
-		return err
+	// -journal starts its file afresh; -resume replays the file's
+	// records and keeps journaling to it, so a resumed run that crashes
+	// again is itself resumable. The journal stays open for the process
+	// lifetime; each record is synced as it is written.
+	var journal *core.Journal
+	journalPath := *resumeFlag
+	if *journalFlag != "" {
+		if *resumeFlag != "" {
+			return fmt.Errorf("-journal and -resume are mutually exclusive (resume keeps journaling to the same file)")
+		}
+		if err := os.WriteFile(*journalFlag, nil, 0o644); err != nil {
+			return err
+		}
+		journalPath = *journalFlag
+	}
+	if journalPath != "" {
+		if journal, err = core.OpenJournal(journalPath); err != nil {
+			return err
+		}
 	}
 
 	var fleetObs *lmbench.FleetMetrics
@@ -475,7 +484,6 @@ func run() error {
 			MaxRSD:         *rsdFlag,
 			QualityRetries: *qretryFlag,
 			Journal:        journal,
-			Resume:         replay,
 		}
 		if fleetObs != nil {
 			coord.Obs = fleetObs
@@ -500,7 +508,6 @@ func run() error {
 			MaxRSD:         *rsdFlag,
 			QualityRetries: *qretryFlag,
 			Journal:        journal,
-			Resume:         replay,
 		}
 		if cache != nil {
 			runner.Cache = cache
@@ -565,53 +572,6 @@ func run() error {
 		}
 	}
 	return nil
-}
-
-// openJournal wires up -journal / -resume. -journal starts a fresh
-// journal file; -resume parses an existing one, truncates any torn
-// final line, and keeps appending to it, so a resumed run that crashes
-// again is itself resumable. The file is left open for the process
-// lifetime — each record is synced as it is written.
-func openJournal(journalPath, resumePath string) (*core.JournalWriter, *core.JournalReplay, error) {
-	switch {
-	case journalPath != "" && resumePath != "":
-		return nil, nil, fmt.Errorf("-journal and -resume are mutually exclusive (resume keeps journaling to the same file)")
-	case journalPath != "":
-		f, err := os.Create(journalPath)
-		if err != nil {
-			return nil, nil, err
-		}
-		jw, err := core.NewJournalWriter(f)
-		if err != nil {
-			return nil, nil, err
-		}
-		return jw, nil, nil
-	case resumePath != "":
-		f, err := os.OpenFile(resumePath, os.O_RDWR|os.O_CREATE, 0o644)
-		if err != nil {
-			return nil, nil, err
-		}
-		replay, err := core.ReadJournal(f)
-		if err != nil {
-			return nil, nil, fmt.Errorf("%s: %w", resumePath, err)
-		}
-		if err := f.Truncate(replay.ValidBytes); err != nil {
-			return nil, nil, err
-		}
-		if _, err := f.Seek(0, io.SeekEnd); err != nil {
-			return nil, nil, err
-		}
-		if replay.ValidBytes == 0 {
-			// Empty (or brand-new) file: start a proper journal.
-			jw, err := core.NewJournalWriter(f)
-			if err != nil {
-				return nil, nil, err
-			}
-			return jw, replay, nil
-		}
-		return core.AppendJournalWriter(f), replay, nil
-	}
-	return nil, nil, nil
 }
 
 // serveStore runs the results-store daemon: runs published with

@@ -107,9 +107,10 @@ func TestGoldenUnitCacheColdWarmMixed(t *testing.T) {
 
 // TestGoldenUnitCacheInterruptResume interrupts a journaled, cached
 // fleet run partway through, resumes it, and then replays a fresh run
-// against the populated cache: the resume lands on the golden hash
-// with the journal taking precedence for journaled units, and the
-// final fully-warm run executes nothing at all.
+// against the populated cache: the resume lands on the golden hash,
+// and the final fully-warm run executes nothing at all. Which store
+// serves a unit when both hold it is asserted by
+// core.TestUnitLedgerPolicy.
 func TestGoldenUnitCacheInterruptResume(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full-suite fleet regeneration is slow; skipped with -short")

@@ -24,6 +24,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+	"os"
 	"strconv"
 	"strings"
 	"sync"
@@ -49,98 +50,116 @@ type JournalRecord struct {
 	Entries []results.Entry `json:"entries,omitempty"`
 }
 
-// syncer is the subset of *os.File the writer uses to make each record
-// durable before reporting the experiment complete.
-type syncer interface {
-	Sync() error
-}
+type journalKey struct{ machine, key string }
 
-// JournalWriter appends checksummed records to a journal stream. It is
-// safe for concurrent use; each record is emitted as a single Write so
-// a crash can tear at most the final line.
-type JournalWriter struct {
+// Journal is an open run journal: the records an earlier run left in
+// the file, which this run replays instead of re-executing, plus the
+// append stream for this run's own records. Lookup sees only the
+// records read at open, so it needs no lock. Record is safe for
+// concurrent use and emits each record as a single synced Write, so a
+// crash can tear at most the final line.
+type Journal struct {
+	recs  map[journalKey]JournalRecord
 	mu    sync.Mutex
-	w     io.Writer
+	f     *os.File
 	bytes atomic.Int64
 }
 
-// NewJournalWriter starts a fresh journal on w, writing the header.
-func NewJournalWriter(w io.Writer) (*JournalWriter, error) {
-	if _, err := io.WriteString(w, journalHeader+"\n"); err != nil {
-		return nil, fmt.Errorf("core: journal header: %w", err)
+// OpenJournal opens the journal at path with create-or-resume
+// semantics. A new or empty file starts a fresh journal. A file that
+// holds records keeps them for replay, loses a torn final line, and
+// is appended to past its last valid record, so a resumed run that
+// crashes again is itself resumable. Serial, parallel and fleet runs
+// write the identical format and can resume one another's journals.
+func OpenJournal(path string) (*Journal, error) {
+	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE, 0o644)
+	if err != nil {
+		return nil, err
 	}
-	return &JournalWriter{w: w}, nil
+	j, err := resumeJournal(f)
+	if err != nil {
+		_ = f.Close()
+		return nil, fmt.Errorf("%s: %w", path, err)
+	}
+	return j, nil
 }
 
-// AppendJournalWriter continues an existing journal on w (the header is
-// already present). The caller must have positioned w at the end of
-// the last valid record — see JournalReplay.ValidBytes.
-func AppendJournalWriter(w io.Writer) *JournalWriter {
-	return &JournalWriter{w: w}
+// resumeJournal reads f's records, truncates whatever follows the last
+// valid one, and positions f for appending; an empty f gets the header.
+func resumeJournal(f *os.File) (*Journal, error) {
+	recs, valid, err := readJournal(f)
+	if err != nil {
+		return nil, err
+	}
+	if err := f.Truncate(valid); err != nil {
+		return nil, err
+	}
+	if _, err := f.Seek(valid, io.SeekStart); err != nil {
+		return nil, err
+	}
+	if valid == 0 {
+		if _, err := io.WriteString(f, journalHeader+"\n"); err != nil {
+			return nil, fmt.Errorf("core: journal header: %w", err)
+		}
+	}
+	return &Journal{recs: recs, f: f}, nil
 }
 
-// Record appends one record and, when the underlying stream supports
-// it, syncs it to stable storage.
-func (jw *JournalWriter) Record(rec JournalRecord) error {
+// Len returns the number of records read at open.
+func (j *Journal) Len() int { return len(j.recs) }
+
+// Lookup returns the record read at open for (machine, run key).
+func (j *Journal) Lookup(machine, key string) (JournalRecord, bool) {
+	rec, ok := j.recs[journalKey{machine, key}]
+	return rec, ok
+}
+
+// Record appends one record and syncs it to stable storage.
+func (j *Journal) Record(rec JournalRecord) error {
 	b, err := json.Marshal(rec)
 	if err != nil {
 		return fmt.Errorf("core: journal encode: %w", err)
 	}
 	line := fmt.Sprintf("%08x %s\n", crc32.ChecksumIEEE(b), b)
-	jw.mu.Lock()
-	defer jw.mu.Unlock()
-	if _, err := io.WriteString(jw.w, line); err != nil {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	if _, err := io.WriteString(j.f, line); err != nil {
 		return fmt.Errorf("core: journal write: %w", err)
 	}
-	if s, ok := jw.w.(syncer); ok {
-		if err := s.Sync(); err != nil {
-			return fmt.Errorf("core: journal sync: %w", err)
-		}
+	if err := j.f.Sync(); err != nil {
+		return fmt.Errorf("core: journal sync: %w", err)
 	}
-	jw.bytes.Add(int64(len(line)))
+	j.bytes.Add(int64(len(line)))
 	return nil
 }
 
-// BytesWritten reports the cumulative record bytes this writer has
+// BytesWritten reports the cumulative record bytes this run has
 // durably appended (header excluded). Safe to read concurrently with
 // Record — it feeds the observability layer's journal gauge.
-func (jw *JournalWriter) BytesWritten() int64 { return jw.bytes.Load() }
+func (j *Journal) BytesWritten() int64 { return j.bytes.Load() }
 
-type journalKey struct{ machine, key string }
-
-// JournalReplay is a parsed journal: the completed work a resumed run
-// replays instead of re-executing.
-type JournalReplay struct {
-	recs map[journalKey]JournalRecord
-	// ValidBytes is the byte offset just past the last valid record.
-	// A resuming caller truncates the journal file here before
-	// appending, so a torn final line never corrupts new records.
-	ValidBytes int64
+// Close closes the journal file.
+func (j *Journal) Close() error {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	return j.f.Close()
 }
 
-// Len returns the number of replayable records.
-func (jr *JournalReplay) Len() int { return len(jr.recs) }
-
-// Lookup returns the journaled record for (machine, run key).
-func (jr *JournalReplay) Lookup(machine, key string) (JournalRecord, bool) {
-	rec, ok := jr.recs[journalKey{machine, key}]
-	return rec, ok
-}
-
-// ReadJournal parses a journal stream. A torn final line (truncated
+// readJournal parses a journal stream into its records and the byte
+// offset just past the last valid one. A torn final line (truncated
 // mid-write by a crash) is dropped; a checksum or parse failure on any
-// earlier line is corruption and an error. An empty stream yields an
-// empty replay.
-func ReadJournal(r io.Reader) (*JournalReplay, error) {
+// earlier line is corruption and an error. An empty stream yields no
+// records.
+func readJournal(r io.Reader) (map[journalKey]JournalRecord, int64, error) {
 	br := bufio.NewReader(r)
-	jr := &JournalReplay{recs: map[journalKey]JournalRecord{}}
+	recs := map[journalKey]JournalRecord{}
 	var offset int64
 	lineNo := 0
 	sawHeader := false
 	for {
 		line, err := br.ReadString('\n')
 		if err != nil && err != io.EOF {
-			return nil, fmt.Errorf("core: journal read: %w", err)
+			return nil, 0, fmt.Errorf("core: journal read: %w", err)
 		}
 		if line == "" {
 			break
@@ -155,15 +174,14 @@ func ReadJournal(r io.Reader) (*JournalReplay, error) {
 		lineNo++
 		rec, perr := parseJournalLine(line, lineNo, &sawHeader)
 		if perr != nil {
-			return nil, perr
+			return nil, 0, perr
 		}
 		if rec != nil {
-			jr.recs[journalKey{rec.Machine, rec.Key}] = *rec
+			recs[journalKey{rec.Machine, rec.Key}] = *rec
 		}
 		offset += int64(len(line))
 	}
-	jr.ValidBytes = offset
-	return jr, nil
+	return recs, offset, nil
 }
 
 // parseJournalLine parses one journal line; nil record for header and

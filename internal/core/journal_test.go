@@ -10,11 +10,9 @@ import (
 	"bytes"
 	"context"
 	"errors"
-	"io"
 	"os"
 	"path/filepath"
 	"reflect"
-	"strings"
 	"sync"
 	"testing"
 
@@ -35,28 +33,54 @@ func journalRecords() []core.JournalRecord {
 	}
 }
 
-func TestJournalRoundTrip(t *testing.T) {
-	var buf bytes.Buffer
-	jw, err := core.NewJournalWriter(&buf)
+// openJournal opens the journal at path, closed when the test ends.
+func openJournal(t *testing.T, path string) *core.Journal {
+	t.Helper()
+	j, err := core.OpenJournal(path)
 	if err != nil {
 		t.Fatal(err)
 	}
+	t.Cleanup(func() { _ = j.Close() })
+	return j
+}
+
+// fileBytes returns the current contents of path.
+func fileBytes(t *testing.T, path string) []byte {
+	t.Helper()
+	b, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
+}
+
+// writeJournalFile writes b to a fresh file and returns its path.
+func writeJournalFile(t *testing.T, b []byte) string {
+	t.Helper()
+	path := filepath.Join(t.TempDir(), "run.jnl")
+	if err := os.WriteFile(path, b, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	return path
+}
+
+func TestJournalRoundTrip(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "run.jnl")
+	jw := openJournal(t, path)
 	recs := journalRecords()
 	for _, rec := range recs {
 		if err := jw.Record(rec); err != nil {
 			t.Fatal(err)
 		}
 	}
+	written := len(fileBytes(t, path))
 
-	jr, err := core.ReadJournal(bytes.NewReader(buf.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
+	jr := openJournal(t, path)
 	if jr.Len() != len(recs) {
 		t.Fatalf("Len = %d, want %d", jr.Len(), len(recs))
 	}
-	if jr.ValidBytes != int64(buf.Len()) {
-		t.Errorf("ValidBytes = %d, want %d", jr.ValidBytes, buf.Len())
+	if n := len(fileBytes(t, path)); n != written {
+		t.Errorf("reopened journal is %d bytes, want %d", n, written)
 	}
 	for _, want := range recs {
 		got, ok := jr.Lookup(want.Machine, want.Key)
@@ -70,57 +94,51 @@ func TestJournalRoundTrip(t *testing.T) {
 }
 
 func TestJournalEmptyAndHeaderOnly(t *testing.T) {
-	jr, err := core.ReadJournal(strings.NewReader(""))
-	if err != nil || jr.Len() != 0 || jr.ValidBytes != 0 {
-		t.Errorf("empty stream: jr=%+v err=%v", jr, err)
+	path := writeJournalFile(t, nil)
+	if jr := openJournal(t, path); jr.Len() != 0 {
+		t.Errorf("empty file: Len = %d, want 0", jr.Len())
 	}
-	var buf bytes.Buffer
-	if _, err := core.NewJournalWriter(&buf); err != nil {
-		t.Fatal(err)
+	header := fileBytes(t, path)
+	if len(header) == 0 || header[len(header)-1] != '\n' {
+		t.Fatalf("empty file did not get a header line: %q", header)
 	}
-	jr, err = core.ReadJournal(bytes.NewReader(buf.Bytes()))
-	if err != nil || jr.Len() != 0 {
-		t.Errorf("header-only stream: jr=%+v err=%v", jr, err)
+	if jr := openJournal(t, path); jr.Len() != 0 {
+		t.Errorf("header-only file: Len = %d, want 0", jr.Len())
 	}
-	if jr.ValidBytes != int64(buf.Len()) {
-		t.Errorf("header-only ValidBytes = %d, want %d", jr.ValidBytes, buf.Len())
+	if got := fileBytes(t, path); !bytes.Equal(got, header) {
+		t.Errorf("reopening a header-only journal changed it: %q, want %q", got, header)
 	}
 }
 
 // TestJournalTornFinalLine: an unterminated final line — whatever a
-// crash left behind — is dropped and excluded from ValidBytes, whether
+// crash left behind — is dropped and truncated away at open, whether
 // it is garbage, a checksum-valid prefix, or even a complete record
 // missing only its newline.
 func TestJournalTornFinalLine(t *testing.T) {
-	var buf bytes.Buffer
-	jw, err := core.NewJournalWriter(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
+	path := filepath.Join(t.TempDir(), "run.jnl")
+	jw := openJournal(t, path)
 	if err := jw.Record(journalRecords()[0]); err != nil {
 		t.Fatal(err)
 	}
-	whole := buf.Len()
+	whole := len(fileBytes(t, path))
 
 	// A second, complete record that we then tear at various points.
 	if err := jw.Record(journalRecords()[1]); err != nil {
 		t.Fatal(err)
 	}
-	full := buf.Bytes()
+	full := fileBytes(t, path)
 	for _, cut := range []int{
 		whole + 1,      // one byte of the next record
 		len(full) - 10, // most of it
 		len(full) - 1,  // everything but the newline
 	} {
-		jr, err := core.ReadJournal(bytes.NewReader(full[:cut]))
-		if err != nil {
-			t.Fatalf("cut at %d: %v", cut, err)
-		}
+		torn := writeJournalFile(t, full[:cut])
+		jr := openJournal(t, torn)
 		if jr.Len() != 1 {
 			t.Errorf("cut at %d: Len = %d, want 1", cut, jr.Len())
 		}
-		if jr.ValidBytes != int64(whole) {
-			t.Errorf("cut at %d: ValidBytes = %d, want %d", cut, jr.ValidBytes, whole)
+		if n := len(fileBytes(t, torn)); n != whole {
+			t.Errorf("cut at %d: opened journal is %d bytes, want %d", cut, n, whole)
 		}
 	}
 }
@@ -129,18 +147,23 @@ func TestJournalTornFinalLine(t *testing.T) {
 // is not crash debris — it must surface as an error, not silent data
 // loss.
 func TestJournalCorruptionDetected(t *testing.T) {
-	var buf bytes.Buffer
-	jw, err := core.NewJournalWriter(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
+	path := filepath.Join(t.TempDir(), "run.jnl")
+	jw := openJournal(t, path)
 	for _, rec := range journalRecords() {
 		if err := jw.Record(rec); err != nil {
 			t.Fatal(err)
 		}
 	}
-	good := buf.Bytes()
+	good := fileBytes(t, path)
 
+	opens := func(b []byte) bool {
+		j, err := core.OpenJournal(writeJournalFile(t, b))
+		if err != nil {
+			return false
+		}
+		_ = j.Close()
+		return true
+	}
 	flip := func(b []byte, i int) []byte {
 		out := append([]byte(nil), b...)
 		out[i] ^= 0x01
@@ -148,17 +171,17 @@ func TestJournalCorruptionDetected(t *testing.T) {
 	}
 	// Flip a payload byte of the first record (terminated line).
 	idx := bytes.Index(good, []byte("lat_syscall"))
-	if _, err := core.ReadJournal(bytes.NewReader(flip(good, idx))); err == nil {
+	if opens(flip(good, idx)) {
 		t.Error("payload corruption in a complete line went undetected")
 	}
 	// A terminated final line with a bad checksum is corruption too: a
 	// crash tears the newline off, it does not rewrite bytes.
 	idx = bytes.Index(good, []byte("table17"))
-	if _, err := core.ReadJournal(bytes.NewReader(flip(good, idx))); err == nil {
+	if opens(flip(good, idx)) {
 		t.Error("corrupt terminated final line went undetected")
 	}
 	// A journal without its header is not a journal.
-	if _, err := core.ReadJournal(strings.NewReader("deadbeef {}\n")); err == nil {
+	if opens([]byte("deadbeef {}\n")) {
 		t.Error("missing header went undetected")
 	}
 }
@@ -233,11 +256,7 @@ func TestKillAndResumeByteIdentical(t *testing.T) {
 
 			// Phase 1: journaled run, killed after the first completed
 			// experiment.
-			f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE, 0o644)
-			if err != nil {
-				t.Fatal(err)
-			}
-			jw, err := core.NewJournalWriter(f)
+			jw, err := core.OpenJournal(path)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -251,41 +270,34 @@ func TestKillAndResumeByteIdentical(t *testing.T) {
 			if _, err := ir.Run(ctx, &results.DB{}); !errors.Is(err, context.Canceled) {
 				t.Fatalf("interrupted run: err = %v, want context.Canceled", err)
 			}
+			if err := jw.Close(); err != nil {
+				t.Fatal(err)
+			}
 			if tc.tear {
 				// Simulate the crash cutting a record short.
+				f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0)
+				if err != nil {
+					t.Fatal(err)
+				}
 				if _, err := f.Write([]byte("5f3ab90c {\"machine\":\"Linux")); err != nil {
 					t.Fatal(err)
 				}
-			}
-			if err := f.Close(); err != nil {
-				t.Fatal(err)
+				if err := f.Close(); err != nil {
+					t.Fatal(err)
+				}
 			}
 
-			// Phase 2: resume from the journal, exactly as cmd/lmbench
-			// does — parse, truncate past the last valid record, append.
-			f, err = os.OpenFile(path, os.O_RDWR, 0o644)
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer f.Close()
-			replay, err := core.ReadJournal(f)
-			if err != nil {
-				t.Fatal(err)
-			}
+			// Phase 2: resume from the journal, exactly as every entry
+			// point does — open it, which replays its records, drops a
+			// torn tail and keeps appending.
+			replay := openJournal(t, path)
 			if replay.Len() == 0 || replay.Len() >= totalUnits {
 				t.Fatalf("interrupted journal has %d records, want a strict mid-run subset of %d", replay.Len(), totalUnits)
-			}
-			if err := f.Truncate(replay.ValidBytes); err != nil {
-				t.Fatal(err)
-			}
-			if _, err := f.Seek(0, io.SeekEnd); err != nil {
-				t.Fatal(err)
 			}
 			rec := &recorderSink{}
 			rr := &core.Runner{
 				Machines: targets(), Opts: smallOpts(), Only: resumeSubset(),
-				Parallel: tc.parallel,
-				Journal:  core.AppendJournalWriter(f), Resume: replay,
+				Parallel: tc.parallel, Journal: replay,
 				Events: rec,
 			}
 			got := &results.DB{}
@@ -305,13 +317,7 @@ func TestKillAndResumeByteIdentical(t *testing.T) {
 
 			// The appended journal now covers the whole run and reads
 			// back clean — a second resume would replay everything.
-			if _, err := f.Seek(0, io.SeekStart); err != nil {
-				t.Fatal(err)
-			}
-			final, err := core.ReadJournal(f)
-			if err != nil {
-				t.Fatal(err)
-			}
+			final := openJournal(t, path)
 			if final.Len() != totalUnits {
 				t.Errorf("final journal has %d records, want %d", final.Len(), totalUnits)
 			}
@@ -322,25 +328,19 @@ func TestKillAndResumeByteIdentical(t *testing.T) {
 // TestResumeReplaysSkips: a journaled unsupported-skip replays as a
 // skip — the resumed run must not retry the probe.
 func TestResumeReplaysSkips(t *testing.T) {
-	var buf bytes.Buffer
-	jw, err := core.NewJournalWriter(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
+	path := filepath.Join(t.TempDir(), "run.jnl")
+	jw := openJournal(t, path)
 	if err := jw.Record(core.JournalRecord{
 		Machine: "Linux/i686", Key: "table7", Skipped: true, Err: "simulated",
 	}); err != nil {
 		t.Fatal(err)
 	}
-	replay, err := core.ReadJournal(bytes.NewReader(buf.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
+	replay := openJournal(t, path)
 
 	rec := &recorderSink{}
 	s := &core.Suite{
 		M: simMachine(t, "Linux/i686"), Opts: smallOpts(),
-		Only: map[string]bool{"table7": true}, Resume: replay, Events: rec,
+		Only: map[string]bool{"table7": true}, Journal: replay, Events: rec,
 	}
 	db := &results.DB{}
 	skipped, err := s.Run(context.Background(), db)

@@ -11,13 +11,15 @@ package core_test
 //     member, and none of it leaks into the results database.
 //   - JSONLSink/MultiSink under concurrent fire (run with -race): every
 //     emitted line must parse — no torn or interleaved writes.
-//   - JournalWriter.BytesWritten matches the bytes actually appended.
+//   - Journal.BytesWritten matches the bytes actually appended.
 
 import (
 	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
+	"os"
+	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
@@ -240,15 +242,23 @@ func TestEventSinksConcurrentTearFree(t *testing.T) {
 // TestJournalBytesWritten: the counter matches the bytes the writer
 // appended after the header, so the observability gauge is exact.
 func TestJournalBytesWritten(t *testing.T) {
-	var buf bytes.Buffer
-	jw, err := core.NewJournalWriter(&buf)
+	path := filepath.Join(t.TempDir(), "run.jnl")
+	jw, err := core.OpenJournal(path)
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer jw.Close()
 	if jw.BytesWritten() != 0 {
 		t.Fatalf("fresh journal reports %d bytes", jw.BytesWritten())
 	}
-	header := buf.Len()
+	size := func() int64 {
+		st, err := os.Stat(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return st.Size()
+	}
+	header := size()
 	for i := 0; i < 3; i++ {
 		if err := jw.Record(core.JournalRecord{
 			Machine: "m", Key: fmt.Sprintf("k%d", i),
@@ -257,7 +267,7 @@ func TestJournalBytesWritten(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if got, want := jw.BytesWritten(), int64(buf.Len()-header); got != want {
+	if got, want := jw.BytesWritten(), size()-header; got != want {
 		t.Errorf("BytesWritten = %d, want %d", got, want)
 	}
 }

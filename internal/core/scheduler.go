@@ -38,11 +38,11 @@ type Runner struct {
 	// are).
 	Events EventSink
 	// Only, Extended, Experiments, Timeout, Retries, RetryBackoff,
-	// MaxRSD, QualityRetries, Journal, Resume and Cache are forwarded
-	// to each machine's Suite; see Suite. The journal writer and the
-	// unit cache are concurrency-safe, so parallel machines interleave
-	// records freely; replay and cache lookup are keyed by (machine,
-	// group) and immune to that interleaving.
+	// MaxRSD, QualityRetries, Journal and Cache are forwarded to each
+	// machine's Suite; see Suite. The journal and the unit cache are
+	// concurrency-safe, so parallel machines interleave records freely;
+	// replay and cache lookup are keyed by (machine, group) and immune
+	// to that interleaving.
 	Only           map[string]bool
 	Extended       bool
 	Experiments    []Experiment
@@ -51,8 +51,7 @@ type Runner struct {
 	RetryBackoff   time.Duration
 	MaxRSD         float64
 	QualityRetries int
-	Journal        *JournalWriter
-	Resume         *JournalReplay
+	Journal        *Journal
 	Cache          UnitCache
 }
 
@@ -152,7 +151,7 @@ func (r *Runner) runMachine(ctx context.Context, sink EventSink, m Machine) mach
 		Only: r.Only, Extended: r.Extended, Experiments: r.Experiments,
 		Timeout: r.Timeout, Retries: r.Retries, RetryBackoff: r.RetryBackoff,
 		MaxRSD: r.MaxRSD, QualityRetries: r.QualityRetries,
-		Journal: r.Journal, Resume: r.Resume, Cache: r.Cache,
+		Journal: r.Journal, Cache: r.Cache,
 	}
 	sub := &results.DB{}
 	skipped, err := s.Run(ctx, sub)

@@ -139,6 +139,28 @@ func ExperimentByID(id string) (Experiment, bool) {
 	return Experiment{}, false
 }
 
+// OnlySet turns experiment IDs into a Suite.Only filter. An ID that
+// names neither a paper experiment nor an extension is an error, so a
+// typo fails the run instead of silently selecting nothing. No IDs
+// yields nil, which selects every experiment.
+func OnlySet(ids []string) (map[string]bool, error) {
+	if len(ids) == 0 {
+		return nil, nil
+	}
+	known := map[string]bool{}
+	for _, e := range append(Experiments(), Extensions()...) {
+		known[e.ID] = true
+	}
+	only := make(map[string]bool, len(ids))
+	for _, id := range ids {
+		if !known[id] {
+			return nil, fmt.Errorf("unknown experiment %q", id)
+		}
+		only[id] = true
+	}
+	return only, nil
+}
+
 // wallMu serializes experiments on machines whose clock reads real
 // time (the host backend). Two wall-clock experiments running at once
 // would perturb each other's measurements; virtual-clock machines are
@@ -171,7 +193,7 @@ type Suite struct {
 	// never retried; context cancellation is never retried.
 	Retries int
 	// RetryBackoff is the pause before the first retry, doubling each
-	// further attempt (capped at maxRetryBackoff); default 100ms when
+	// further attempt (capped at MaxRetryBackoff); default 100ms when
 	// Retries > 0. The backoff sleep selects on the run context, so a
 	// cancelled run never waits out a pending backoff.
 	RetryBackoff time.Duration
@@ -187,22 +209,18 @@ type Suite struct {
 	// default 2 when the gate is enabled. When the budget is spent the
 	// noisy result is accepted but flagged (quality.flagged attr).
 	QualityRetries int
-	// Journal, when non-nil, receives one checksummed record per
-	// completed experiment group as it finishes, making the run
-	// resumable after a crash (see JournalWriter).
-	Journal *JournalWriter
-	// Resume, when non-nil, replays completed work from a previous
-	// run's journal instead of re-executing it; only the remainder
-	// runs. Replayed entries merge at the same point in the iteration
-	// order as live execution, so a resumed database encodes
-	// byte-identically to an uninterrupted run.
-	Resume *JournalReplay
-	// Cache, when non-nil, is the content-addressed unit cache: each
-	// experiment group is looked up before execution (a hit restores
-	// its entries without running anything, exactly like a journal
-	// replay) and stored after it completes. Resume wins over Cache
-	// when both would serve a unit — the journal is this run's own
-	// ground truth. See internal/unitcache.
+	// Journal, when non-nil, is the run's crash-safe journal: records
+	// it held at open replay instead of re-executing, and each completed
+	// experiment group appends one record as it finishes (see Journal).
+	// Replayed entries merge at the same point in the iteration order as
+	// live execution, so a resumed database encodes byte-identically to
+	// an uninterrupted run.
+	Journal *Journal
+	// Cache, when non-nil, is the content-addressed unit cache: a group
+	// the journal does not hold is looked up before execution (a hit
+	// restores its entries without running anything) and stored after
+	// it completes. See UnitLedger for the policy and internal/unitcache
+	// for the store.
 	Cache UnitCache
 }
 
@@ -227,76 +245,39 @@ func (s *Suite) Run(ctx context.Context, db *results.DB) (skipped []string, err 
 			exps = append(exps, Extensions()...)
 		}
 	}
+	ledger := UnitLedger{Journal: s.Journal, Cache: s.Cache, Mode: opts.SweepMode}
 	for _, group := range GroupExperiments(exps, s.Only) {
 		exp, key := group.Exp, group.Key
 		if err := ctx.Err(); err != nil {
 			return skipped, err
 		}
-		if s.Resume != nil {
-			if rec, ok := s.Resume.Lookup(s.M.Name(), key); ok {
-				// A journal from the other sweep mode must not seed this
-				// run: adaptive results carry synthetic points an
-				// exhaustive database may never contain, and vice versa.
-				if err := CheckReplayMode(rec, opts.SweepMode); err != nil {
-					return skipped, fmt.Errorf("%s: %w", exp.ID, err)
-				}
-				sink.Event(Event{
-					Kind: ExperimentReplayed, Time: time.Now(), Machine: s.M.Name(),
-					Experiment: exp.ID, Title: exp.Title, Entries: len(rec.Entries),
-				})
-				if rec.Skipped {
-					skipped = append(skipped, exp.ID)
-					continue
-				}
-				for _, e := range rec.Entries {
-					if err := db.Add(e); err != nil {
-						return skipped, fmt.Errorf("%s: replay %q: %w", exp.ID, e.Benchmark, err)
-					}
-				}
-				continue
-			}
+		rec, kind, found, err := ledger.Lookup(s.M.Name(), key)
+		if err != nil {
+			return skipped, fmt.Errorf("%s: %w", exp.ID, err)
 		}
-		if s.Cache != nil {
-			if rec, ok := s.Cache.Lookup(s.M.Name(), key); ok {
-				sink.Event(Event{
-					Kind: ExperimentCached, Time: time.Now(), Machine: s.M.Name(),
-					Experiment: exp.ID, Title: exp.Title, Entries: len(rec.Entries),
-				})
-				// Journal the hit too: an interrupted cached run resumes
-				// without consulting the cache for units already landed.
-				if rec.Skipped {
-					skipped = append(skipped, exp.ID)
-					if err := s.journal(rec); err != nil {
-						return skipped, fmt.Errorf("%s: %w", exp.ID, err)
-					}
-					continue
-				}
-				for _, e := range rec.Entries {
-					if err := db.Add(e); err != nil {
-						return skipped, fmt.Errorf("%s: cached %q: %w", exp.ID, e.Benchmark, err)
-					}
-				}
-				if err := s.journal(rec); err != nil {
-					return skipped, fmt.Errorf("%s: %w", exp.ID, err)
-				}
+		if found {
+			sink.Event(Event{
+				Kind: kind, Time: time.Now(), Machine: s.M.Name(),
+				Experiment: exp.ID, Title: exp.Title, Entries: len(rec.Entries),
+			})
+			if rec.Skipped {
+				skipped = append(skipped, exp.ID)
 				continue
 			}
+			for _, e := range rec.Entries {
+				if err := db.Add(e); err != nil {
+					return skipped, fmt.Errorf("%s: replay %q: %w", exp.ID, e.Benchmark, err)
+				}
+			}
+			continue
 		}
 		entries, runErr := s.runExperiment(ctx, sink, exp, opts)
-		if runErr != nil {
-			if IsUnsupported(runErr) {
-				skipped = append(skipped, exp.ID)
-				rec := JournalRecord{
-					Machine: s.M.Name(), Key: key, Skipped: true, Err: runErr.Error(),
-				}
-				if err := s.journal(rec); err != nil {
-					return skipped, fmt.Errorf("%s: %w", exp.ID, err)
-				}
-				if err := s.cacheStore(rec); err != nil {
-					return skipped, fmt.Errorf("%s: %w", exp.ID, err)
-				}
-				continue
-			}
+		rec = JournalRecord{Machine: s.M.Name(), Key: key, Entries: entries}
+		switch {
+		case IsUnsupported(runErr):
+			skipped = append(skipped, exp.ID)
+			rec.Skipped, rec.Err = true, runErr.Error()
+		case runErr != nil:
 			return skipped, fmt.Errorf("%s: %w", exp.ID, runErr)
 		}
 		for _, e := range entries {
@@ -306,42 +287,27 @@ func (s *Suite) Run(ctx context.Context, db *results.DB) (skipped []string, err 
 				return skipped, fmt.Errorf("%s: add %q: %w", exp.ID, e.Benchmark, err)
 			}
 		}
-		rec := JournalRecord{Machine: s.M.Name(), Key: key, Entries: entries}
-		if err := s.journal(rec); err != nil {
-			return skipped, fmt.Errorf("%s: %w", exp.ID, err)
-		}
-		if err := s.cacheStore(rec); err != nil {
+		if err := ledger.Record(rec); err != nil {
 			return skipped, fmt.Errorf("%s: %w", exp.ID, err)
 		}
 	}
 	return skipped, nil
 }
 
-// cacheStore persists rec in the unit cache when caching is enabled.
-func (s *Suite) cacheStore(rec JournalRecord) error {
-	if s.Cache == nil {
-		return nil
-	}
-	return s.Cache.Store(rec)
-}
+// The retry backoff policy, shared by the suite's experiment retries
+// and the fleet's unit re-dispatch and dial retries: start at
+// DefaultRetryBackoff, double per retry, and saturate at
+// MaxRetryBackoff, so a large retry budget never escalates a pause into
+// multi-hour waits (or overflows the duration entirely).
+const (
+	DefaultRetryBackoff = 100 * time.Millisecond
+	MaxRetryBackoff     = 30 * time.Second
+)
 
-// journal appends rec when journaling is enabled.
-func (s *Suite) journal(rec JournalRecord) error {
-	if s.Journal == nil {
-		return nil
-	}
-	return s.Journal.Record(rec)
-}
-
-// maxRetryBackoff caps the doubling retry backoff: a large Retries
-// budget must never escalate a pause into multi-hour waits (or
-// overflow the duration entirely).
-const maxRetryBackoff = 30 * time.Second
-
-// nextBackoff doubles d, saturating at maxRetryBackoff.
-func nextBackoff(d time.Duration) time.Duration {
-	if d >= maxRetryBackoff/2 {
-		return maxRetryBackoff
+// NextBackoff doubles d, saturating at MaxRetryBackoff.
+func NextBackoff(d time.Duration) time.Duration {
+	if d >= MaxRetryBackoff/2 {
+		return MaxRetryBackoff
 	}
 	return d * 2
 }
@@ -356,10 +322,10 @@ func (s *Suite) runExperiment(ctx context.Context, sink EventSink, exp Experimen
 	}
 	backoff := s.RetryBackoff
 	if backoff <= 0 {
-		backoff = 100 * time.Millisecond
+		backoff = DefaultRetryBackoff
 	}
-	if backoff > maxRetryBackoff {
-		backoff = maxRetryBackoff
+	if backoff > MaxRetryBackoff {
+		backoff = MaxRetryBackoff
 	}
 	qualityLeft := s.QualityRetries
 	if s.MaxRSD > 0 && s.QualityRetries == 0 {
@@ -423,7 +389,7 @@ func (s *Suite) runExperiment(ctx context.Context, sink EventSink, exp Experimen
 			return nil, ctx.Err()
 		case <-time.After(backoff):
 		}
-		backoff = nextBackoff(backoff)
+		backoff = NextBackoff(backoff)
 	}
 }
 

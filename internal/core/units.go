@@ -86,6 +86,68 @@ type UnitCache interface {
 	Store(rec JournalRecord) error
 }
 
+// UnitLedger is the one path by which a run finds and records
+// finished work units. It holds the run's two stores of finished
+// units, the crash-safe journal and the content-addressed unit cache
+// (either may be nil), and applies their policy in one place for the
+// serial suite and the fleet coordinator alike.
+type UnitLedger struct {
+	Journal *Journal
+	Cache   UnitCache
+	// Mode is the run's sweep mode, which every journal record must
+	// match (CheckReplayMode).
+	Mode SweepMode
+}
+
+// Lookup reports how the (machine, key) unit already finished, or
+// ok=false when it must execute. The journal is consulted first: it
+// is this run's own ground truth, and a record from the other sweep
+// mode is refused with an error. The cache comes second; a cache hit
+// is journaled before it is returned, so an interrupted warm run
+// resumes without consulting the cache again. A journal record is
+// never stored in the cache. kind is the event that reports the unit:
+// ExperimentReplayed for a journal record, ExperimentCached for a
+// cache hit. A skipped record is returned as it was recorded.
+func (l UnitLedger) Lookup(machine, key string) (rec JournalRecord, kind EventKind, ok bool, err error) {
+	if l.Journal != nil {
+		if rec, ok := l.Journal.Lookup(machine, key); ok {
+			if err := CheckReplayMode(rec, l.Mode); err != nil {
+				return JournalRecord{}, "", false, err
+			}
+			return rec, ExperimentReplayed, true, nil
+		}
+	}
+	if l.Cache == nil {
+		return JournalRecord{}, "", false, nil
+	}
+	rec, ok = l.Cache.Lookup(machine, key)
+	if !ok {
+		return JournalRecord{}, "", false, nil
+	}
+	if l.Journal != nil {
+		if err := l.Journal.Record(rec); err != nil {
+			return JournalRecord{}, "", false, err
+		}
+	}
+	return rec, ExperimentCached, true, nil
+}
+
+// Record persists a freshly finished unit: to the journal first, then
+// to the cache. A unit journaled but not yet cached is merely a cold
+// cache entry for the next run. An error from either store must abort
+// the run: the unit would otherwise be lost to a resume.
+func (l UnitLedger) Record(rec JournalRecord) error {
+	if l.Journal != nil {
+		if err := l.Journal.Record(rec); err != nil {
+			return err
+		}
+	}
+	if l.Cache == nil {
+		return nil
+	}
+	return l.Cache.Store(rec)
+}
+
 // UnitsFor enumerates the work units of running the given experiment
 // groups on the named machines, in merge order.
 func UnitsFor(machines []string, groups []ExperimentGroup) []WorkUnit {

@@ -47,21 +47,9 @@ func (noopObserver) UnitDispatched(time.Duration) {}
 func (noopObserver) UnitDone()                    {}
 func (noopObserver) UnitRetried()                 {}
 
-// Default and cap for the unit re-dispatch policy; the backoff
-// constants mirror the suite's PR-1 retry policy.
-const (
-	defaultUnitRetries = 3
-	defaultBackoff     = 100 * time.Millisecond
-	maxBackoff         = 30 * time.Second
-)
-
-// nextBackoff doubles d, saturating at maxBackoff.
-func nextBackoff(d time.Duration) time.Duration {
-	if d >= maxBackoff/2 {
-		return maxBackoff
-	}
-	return d * 2
-}
+// defaultUnitRetries is the unit re-dispatch budget when UnitRetries
+// is zero.
+const defaultUnitRetries = 3
 
 // Coordinator executes the evaluation across a pool of remote worker
 // daemons. It is the fleet counterpart of core.Runner: machines (by
@@ -109,20 +97,15 @@ type Coordinator struct {
 	// already retried inside the worker under Retries and aborts the
 	// run, matching serial semantics.
 	UnitRetries int
-	// Journal, when non-nil, receives one PR-2 format record per
-	// completed unit as it finishes; Resume replays a previous journal
-	// (from a fleet or serial run — the formats are identical) instead
-	// of re-executing completed units.
-	Journal *core.JournalWriter
-	Resume  *core.JournalReplay
-	// Cache, when non-nil, is the content-addressed unit cache: every
-	// unit not already served by Resume is looked up before dispatch,
-	// and hits restore their fragments without touching a worker — a
-	// fully-warm run dials no daemon. Fresh results are stored as
-	// their units complete. Hits merge at the unit's position in merge
-	// order, so cold and warm runs are byte-identical. See
-	// internal/unitcache.
-	Cache core.UnitCache
+	// Journal and Cache are the run's stores of finished units, used
+	// exactly as core.Suite uses them (see core.UnitLedger): every unit
+	// either store already holds is served before dispatch, so a
+	// fully-warm run dials no daemon, and results merge at the unit's
+	// position in merge order, so resumed, cold and warm runs are
+	// byte-identical. The journal format is the serial suite's, so
+	// fleet and serial runs resume one another's journals.
+	Journal *core.Journal
+	Cache   core.UnitCache
 	// PeerTimeout is the idle read deadline on worker connections: a
 	// daemon silent for this long — workers heartbeat every 5s while
 	// executing — is declared dead and its unit re-dispatched. Zero
@@ -160,6 +143,7 @@ type run struct {
 	opts   core.Options
 	units  []core.WorkUnit
 	groups map[string]core.ExperimentGroup
+	ledger core.UnitLedger
 	// wireProfiles holds, per machine, the profile to ship on unit
 	// frames (nil entry / missing key = compiled built-in, resolved by
 	// name on the worker).
@@ -243,6 +227,7 @@ func (c *Coordinator) Run(ctx context.Context, db *results.DB) (map[string][]str
 		c: c, ctx: runCtx, cancel: cancel,
 		sink: sinkOrDiscard(c.Events), obs: obsOrNoop(c.Obs),
 		opts: opts, units: units, groups: byKey,
+		ledger:       core.UnitLedger{Journal: c.Journal, Cache: c.Cache, Mode: opts.SweepMode},
 		wireProfiles: wireProfiles,
 		// Buffered past the total attempt budget so a delayed
 		// re-enqueue never blocks and never races a shutdown.
@@ -260,93 +245,40 @@ func (c *Coordinator) Run(ctx context.Context, db *results.DB) (map[string][]str
 		r.pending[u.Machine]++
 	}
 
-	// Replay completed units from the resume journal, in unit order,
-	// before any dispatch — the fleet version of the suite's replay-at-
-	// iteration-point rule.
-	if c.Resume != nil {
-		for i, u := range units {
-			rec, ok := c.Resume.Lookup(u.Machine, u.Key)
-			if !ok {
-				continue
-			}
-			g := byKey[u.Key]
-			// Cross-mode journals must not seed the fleet, exactly as in
-			// the serial suite: adaptive and exhaustive sweep results can
-			// never mix in one database.
-			if err := core.CheckReplayMode(rec, opts.SweepMode); err != nil {
-				r.mu.Lock()
-				r.res[i] = unitResult{done: true, err: err}
-				r.mu.Unlock()
-				r.finishUnit(u, err.Error())
-				cancel()
-				break
-			}
-			r.beginMachine(u.Machine)
-			r.sink.Event(core.Event{
-				Kind: core.ExperimentReplayed, Time: time.Now(), Machine: u.Machine,
-				Experiment: g.Exp.ID, Title: g.Exp.Title, Entries: len(rec.Entries),
-			})
-			res := unitResult{done: true}
-			if rec.Skipped {
-				res.skipped = []string{g.Exp.ID}
-			} else {
-				res.entries = rec.Entries
-			}
+	// Serve every unit the journal or the cache already holds, in unit
+	// order, before any dispatch. A lookup error (a cross-mode journal,
+	// a failed journal write) fails its unit and aborts the run before
+	// any daemon is dialed.
+	for i, u := range units {
+		rec, kind, found, err := r.ledger.Lookup(u.Machine, u.Key)
+		if err != nil {
 			r.mu.Lock()
-			r.res[i] = res
+			r.res[i] = unitResult{done: true, err: err}
 			r.mu.Unlock()
-			r.obs.UnitDone()
-			r.finishUnit(u, "")
+			r.finishUnit(u, err.Error())
+			cancel()
+			break
 		}
-	}
-
-	// Consult the unit cache for everything the journal did not cover,
-	// still before any dispatch. A hit is journaled like a completed
-	// unit (so an interrupted warm run resumes without re-reading the
-	// cache) and lands at its slot in merge order. Errors journaling or
-	// persisting here abort the run exactly as they would in
-	// complete(); no daemon is dialed yet, so failing the unit and
-	// cancelling is enough.
-	if c.Cache != nil {
-		for i, u := range units {
-			r.mu.Lock()
-			done := r.res[i].done
-			r.mu.Unlock()
-			if done {
-				continue
-			}
-			rec, ok := c.Cache.Lookup(u.Machine, u.Key)
-			if !ok {
-				continue
-			}
-			g := byKey[u.Key]
-			r.beginMachine(u.Machine)
-			r.sink.Event(core.Event{
-				Kind: core.ExperimentCached, Time: time.Now(), Machine: u.Machine,
-				Experiment: g.Exp.ID, Title: g.Exp.Title, Entries: len(rec.Entries),
-			})
-			if c.Journal != nil {
-				if err := c.Journal.Record(rec); err != nil {
-					r.mu.Lock()
-					r.res[i] = unitResult{done: true, err: err}
-					r.mu.Unlock()
-					r.finishUnit(u, err.Error())
-					cancel()
-					break
-				}
-			}
-			res := unitResult{done: true}
-			if rec.Skipped {
-				res.skipped = []string{g.Exp.ID}
-			} else {
-				res.entries = rec.Entries
-			}
-			r.mu.Lock()
-			r.res[i] = res
-			r.mu.Unlock()
-			r.obs.UnitDone()
-			r.finishUnit(u, "")
+		if !found {
+			continue
 		}
+		g := byKey[u.Key]
+		r.beginMachine(u.Machine)
+		r.sink.Event(core.Event{
+			Kind: kind, Time: time.Now(), Machine: u.Machine,
+			Experiment: g.Exp.ID, Title: g.Exp.Title, Entries: len(rec.Entries),
+		})
+		res := unitResult{done: true}
+		if rec.Skipped {
+			res.skipped = []string{g.Exp.ID}
+		} else {
+			res.entries = rec.Entries
+		}
+		r.mu.Lock()
+		r.res[i] = res
+		r.mu.Unlock()
+		r.obs.UnitDone()
+		r.finishUnit(u, "")
 	}
 
 	// Queue the remainder and start the pool.
@@ -360,7 +292,7 @@ func (c *Coordinator) Run(ctx context.Context, db *results.DB) (map[string][]str
 			r.enqueue(i, 0)
 		}
 	}
-	if remaining > 0 {
+	if remaining > 0 && runCtx.Err() == nil {
 		for _, addr := range c.Connect {
 			w, err := DialWith(runCtx, addr, DialOptions{
 				Retries: c.DialRetries, Backoff: c.DialBackoff,
@@ -555,29 +487,17 @@ func (r *run) complete(i int, m *wireMsg, skipErr string) error {
 		r.fail(i, errors.New(m.Err))
 		return nil
 	}
-	// Journal before marking done, so a completed-but-unjournaled unit
-	// is impossible: a coordinator killed in between simply re-runs it.
-	// The unit cache persists at the same point: a stored-but-unmarked
-	// unit is merely a warm entry for the re-run.
-	if r.c.Journal != nil || r.c.Cache != nil {
-		rec := core.JournalRecord{Machine: u.Machine, Key: u.Key}
-		if len(m.Skipped) > 0 {
-			rec.Skipped, rec.Err = true, skipErr
-		} else {
-			rec.Entries = m.Entries
-		}
-		if r.c.Journal != nil {
-			if err := r.c.Journal.Record(rec); err != nil {
-				r.fail(i, err)
-				return nil
-			}
-		}
-		if r.c.Cache != nil {
-			if err := r.c.Cache.Store(rec); err != nil {
-				r.fail(i, err)
-				return nil
-			}
-		}
+	// Record before marking done, so a completed-but-unrecorded unit is
+	// impossible: a coordinator killed in between simply re-runs it.
+	rec := core.JournalRecord{Machine: u.Machine, Key: u.Key}
+	if len(m.Skipped) > 0 {
+		rec.Skipped, rec.Err = true, skipErr
+	} else {
+		rec.Entries = m.Entries
+	}
+	if err := r.ledger.Record(rec); err != nil {
+		r.fail(i, err)
+		return nil
 	}
 	r.mu.Lock()
 	r.res[i] = unitResult{done: true, entries: m.Entries, skipped: m.Skipped}
@@ -619,10 +539,10 @@ func (r *run) redispatch(i int, cause error, live int) {
 	r.attempts[i]++
 	attempts := r.attempts[i]
 	if r.backoff[i] == 0 {
-		r.backoff[i] = defaultBackoff
+		r.backoff[i] = core.DefaultRetryBackoff
 	}
 	delay := r.backoff[i]
-	r.backoff[i] = nextBackoff(delay)
+	r.backoff[i] = core.NextBackoff(delay)
 	r.mu.Unlock()
 	if attempts > r.c.unitRetries() {
 		r.fail(i, fmt.Errorf("fleet: unit %s/%s lost its worker %d times: %w",

@@ -414,11 +414,7 @@ func TestCoordinatorResume(t *testing.T) {
 			cancel()
 		}
 	}}
-	f, err := os.Create(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	jw, err := core.NewJournalWriter(f)
+	jw, err := core.OpenJournal(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -429,25 +425,21 @@ func TestCoordinatorResume(t *testing.T) {
 	if _, err := c.Run(ctx, &results.DB{}); err == nil {
 		t.Fatal("cancelled run reported success")
 	}
-	_ = f.Close()
+	_ = jw.Close()
 
 	// Second run: resume. Journaled units must replay, not re-run.
-	rf, err := os.Open(path)
+	replay, err := core.OpenJournal(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	replay, err := core.ReadJournal(rf)
-	_ = rf.Close()
-	if err != nil {
-		t.Fatal(err)
-	}
+	defer replay.Close()
 	if replay.Len() < 2 {
 		t.Fatalf("journal holds %d records, want >= 2", replay.Len())
 	}
 	obs2 := &testObserver{}
 	c2 := &Coordinator{
 		Machines: testMachines, Opts: fastOpts(), Only: testOnly,
-		Connect: daemons, Resume: replay, Obs: obs2,
+		Connect: daemons, Journal: replay, Obs: obs2,
 	}
 	db := &results.DB{}
 	if _, err := c2.Run(context.Background(), db); err != nil {
@@ -509,15 +501,36 @@ func TestCoordinatorValidation(t *testing.T) {
 	}
 }
 
-func TestNextBackoff(t *testing.T) {
-	d := defaultBackoff
-	for i := 0; i < 20; i++ {
-		d = nextBackoff(d)
+// TestCoordinatorRefusesCrossModeJournal: a journal from the other
+// sweep mode fails the run with the ledger's refusal, before any
+// daemon is dialed (the address is never contacted).
+func TestCoordinatorRefusesCrossModeJournal(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "adaptive.jnl")
+	jw, err := core.OpenJournal(path)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if d != maxBackoff {
-		t.Errorf("backoff did not saturate: %v", d)
+	if err := jw.Record(core.JournalRecord{
+		Machine: testMachines[0], Key: "table2",
+		Entries: []results.Entry{{
+			Benchmark: "bw_mem.read", Machine: testMachines[0], Unit: "MB/s", Scalar: 1,
+			Attrs: map[string]string{"sweep.mode": string(core.SweepAdaptive)},
+		}},
+	}); err != nil {
+		t.Fatal(err)
 	}
-	if got := nextBackoff(defaultBackoff); got != 2*defaultBackoff {
-		t.Errorf("nextBackoff = %v, want %v", got, 2*defaultBackoff)
+	_ = jw.Close()
+	replay, err := core.OpenJournal(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer replay.Close()
+	c := &Coordinator{
+		Machines: testMachines, Opts: fastOpts(), Only: testOnly,
+		Connect: []string{"127.0.0.1:1"}, DialRetries: -1, Journal: replay,
+	}
+	_, err = c.Run(context.Background(), &results.DB{})
+	if err == nil || !strings.Contains(err.Error(), "adaptive-sweep results") {
+		t.Errorf("cross-mode journal: err = %v, want the adaptive-sweep refusal", err)
 	}
 }

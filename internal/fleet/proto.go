@@ -18,15 +18,16 @@
 // coordinator merges unit results in machine × group order, the serial
 // iteration order. A fleet run of any pool size therefore encodes
 // byte-identically to the serial and in-process-parallel runs, which
-// the golden test pins against the PR-3 SHA-256.
+// the golden test pins against the committed SHA-256.
 //
-// Robustness rides the existing seams: a dead, killed or silent
+// Robustness rides the suite's own seams: a dead, killed or silent
 // daemon's in-flight unit is re-dispatched to the surviving daemons
-// under the PR-1 retry/backoff policy; the coordinator journals every
-// completed unit in the PR-2 format (serial and fleet journals are
-// interchangeable), so a kill -9 of the coordinator itself resumes with
-// -resume; and an Observer (obs.FleetMetrics) sees workers, queue
-// depths and dispatch latency out of band.
+// under the suite's capped doubling backoff (core.NextBackoff); the
+// coordinator finds and records finished units through the suite's
+// core.UnitLedger, so serial and fleet journals are interchangeable and
+// a kill -9 of the coordinator itself resumes with -resume; and an
+// Observer (obs.FleetMetrics) sees workers, queue depths and dispatch
+// latency out of band.
 package fleet
 
 import (
@@ -99,7 +100,7 @@ type wireMsg struct {
 
 	// Result fields. Entries round-trip exactly: encoding/json writes
 	// float64s in shortest form that parses back to the same bits, the
-	// property the PR-2 journal already relies on.
+	// property the journal relies on too.
 	Entries []results.Entry `json:"entries,omitempty"`
 	Skipped []string        `json:"skipped,omitempty"`
 	Err     string          `json:"error,omitempty"`

@@ -10,6 +10,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/rpcx"
 )
 
@@ -55,7 +56,7 @@ func (o DialOptions) normalize() DialOptions {
 		o.Retries = 0
 	}
 	if o.Backoff <= 0 {
-		o.Backoff = 100 * time.Millisecond
+		o.Backoff = core.DefaultRetryBackoff
 	}
 	if o.PeerTimeout == 0 {
 		o.PeerTimeout = 60 * time.Second
@@ -91,7 +92,7 @@ func DialWith(ctx context.Context, addr string, o DialOptions) (*netWorker, erro
 				return nil, ctx.Err()
 			case <-time.After(backoff):
 			}
-			backoff = nextBackoff(backoff)
+			backoff = core.NextBackoff(backoff)
 		}
 		conn, err := d.DialContext(ctx, "tcp", addr)
 		if err == nil {

@@ -171,8 +171,8 @@ func RegisterSweepPlanner(reg *Registry) {
 		})
 }
 
-// RegisterJournal exports a journal writer's durable byte counter.
-func RegisterJournal(reg *Registry, jw *core.JournalWriter) {
+// RegisterJournal exports a journal's durable byte counter.
+func RegisterJournal(reg *Registry, jw *core.Journal) {
 	reg.CounterFunc("lmbench_journal_bytes_total",
 		"Bytes of journal records durably written.", func() float64 {
 			return float64(jw.BytesWritten())

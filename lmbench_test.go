@@ -69,6 +69,19 @@ func TestFacadeUnknownMachine(t *testing.T) {
 	}
 }
 
+// TestFacadeUnknownExperiment: a mistyped WithOnly ID fails the run
+// and names the ID, instead of returning an empty report.
+func TestFacadeUnknownExperiment(t *testing.T) {
+	m, err := NewSimMachine("Linux/i686")
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep, err := New(WithMachine(m), WithOnly("table7", "tabel2")).Run(context.Background())
+	if err == nil || !strings.Contains(err.Error(), `"tabel2"`) {
+		t.Errorf("Run = %v, %v; want an error naming \"tabel2\"", rep, err)
+	}
+}
+
 func TestFacadeExperiments(t *testing.T) {
 	if len(Experiments()) != 18 {
 		t.Errorf("Experiments = %d, want 18", len(Experiments()))

@@ -72,8 +72,8 @@ func RegisterHarness(reg *Registry) { obs.RegisterHarness(reg) }
 // unless a run uses SweepAdaptive.
 func RegisterSweepPlanner(reg *Registry) { obs.RegisterSweepPlanner(reg) }
 
-// RegisterJournal exports journal writer activity into reg.
-func RegisterJournal(reg *Registry, jw *core.JournalWriter) { obs.RegisterJournal(reg, jw) }
+// RegisterJournal exports journal activity into reg.
+func RegisterJournal(reg *Registry, jw *core.Journal) { obs.RegisterJournal(reg, jw) }
 
 // RegisterFaults exports fault-injection statistics into reg; stats
 // reports cumulative counts.
